@@ -10,7 +10,10 @@
 //!
 //! This pins the two invariants the oracle refactor rests on: engines agree
 //! query-for-query (verdicts *and* canonical counterexamples), and the
-//! cache only skips work it would have recomputed identically.
+//! cache only skips work it would have recomputed identically. Per engine
+//! and cache setting, the run's `solve_calls` must not depend on the worker
+//! count either: counterexamples are canonicalised by a static bit-probe
+//! set, so the solve count is a pure function of the queries asked.
 
 use amle_benchmarks::{circuit_benchmarks, full_suite, Benchmark};
 use amle_core::{
@@ -57,26 +60,49 @@ fn without_cache(mut config: OracleConfig) -> OracleConfig {
 
 /// Runs the full engine × cache × worker matrix for one benchmark and
 /// asserts every variant reproduces the sequential k-induction reference
-/// fingerprint, plus that the reference's cache accounting is complete.
+/// fingerprint, that each engine's solve-call count is the same at 1 and 4
+/// workers, and that the reference's cache accounting is complete.
 fn assert_fingerprints_agree(benchmark: &Benchmark) {
     let vars = benchmark.system.vars();
     let reference_report = run(benchmark, 1, kinduction());
     let reference = reference_report.semantic_fingerprint(vars);
-    let variants: [(&str, usize, OracleConfig); 4] = [
-        ("kinduction, cache, 4 workers", 4, kinduction()),
+    let portfolio_report = run(benchmark, 1, portfolio());
+    assert_eq!(
+        reference,
+        portfolio_report.semantic_fingerprint(vars),
+        "{}: `portfolio, cache, 1 worker` diverged from the \
+         kinduction/cache/sequential reference",
+        benchmark.name
+    );
+    // Each variant optionally names the sequential run with the same engine
+    // and cache setting, whose solve-call count it must reproduce.
+    let variants: [(&str, usize, OracleConfig, Option<&RunReport>); 4] = [
+        (
+            "kinduction, cache, 4 workers",
+            4,
+            kinduction(),
+            Some(&reference_report),
+        ),
         (
             "kinduction, no cache, 1 worker",
             1,
             without_cache(kinduction()),
+            None,
         ),
-        ("portfolio, cache, 1 worker", 1, portfolio()),
+        (
+            "portfolio, cache, 4 workers",
+            4,
+            portfolio(),
+            Some(&portfolio_report),
+        ),
         (
             "portfolio, no cache, 4 workers",
             4,
             without_cache(portfolio()),
+            None,
         ),
     ];
-    for (label, workers, oracle) in variants {
+    for (label, workers, oracle, sequential) in variants {
         let report = run(benchmark, workers, oracle);
         assert_eq!(
             reference,
@@ -85,6 +111,15 @@ fn assert_fingerprints_agree(benchmark: &Benchmark) {
             benchmark.name,
             label
         );
+        if let Some(sequential) = sequential {
+            assert_eq!(
+                sequential.solver_stats().solve_calls,
+                report.solver_stats().solve_calls,
+                "{}: `{}` changed the solve-call count",
+                benchmark.name,
+                label
+            );
+        }
     }
     // The cache-enabled reference accounts every condition as a hit or
     // a miss, and the per-iteration hit counts add up to the total.
@@ -167,4 +202,26 @@ fn explicit_first_portfolio_matches_kinduction_on_small_systems() {
             benchmark.name
         );
     }
+}
+
+#[test]
+fn base_session_reuse_dominates_by_late_iterations() {
+    // The base-session chain ledger end to end: on a benchmark with
+    // repeated spurious checks, frame reuse must dominate fresh encodes by
+    // the end of the run.
+    for benchmark in full_suite() {
+        let stats = run(&benchmark, 1, kinduction()).checker_stats;
+        if stats.spurious_checks >= 4 {
+            assert!(
+                stats.frames_reused > stats.frames_encoded,
+                "{}: frame reuse {} did not dominate encodes {} over {} spurious checks",
+                benchmark.name,
+                stats.frames_reused,
+                stats.frames_encoded,
+                stats.spurious_checks
+            );
+            return;
+        }
+    }
+    panic!("no suite benchmark issued enough spurious checks at this shape");
 }
