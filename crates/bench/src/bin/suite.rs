@@ -81,7 +81,7 @@ use amle_bench::{
 };
 use amle_benchmarks::{all_benchmarks, full_suite, Benchmark};
 use amle_core::{ActiveLearnerConfig, OracleConfig, OracleKind, ParallelConfig};
-use amle_learner::{HistoryLearner, KTailsLearner, LearnerKind, LstarLearner, SatDfaLearner};
+use amle_learner::LearnerKind;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -100,19 +100,6 @@ struct Options {
     json: Option<String>,
     learner: String,
     oracle: OracleConfig,
-}
-
-/// Builds a fresh learner of the named kind (one per benchmark run, so
-/// per-learner incremental caches never leak across benchmarks). `None` for
-/// an unknown name; callers validate at argument-parse time.
-fn make_learner(name: &str) -> Option<LearnerKind> {
-    match name {
-        "history" => Some(LearnerKind::History(HistoryLearner::default())),
-        "ktails" => Some(LearnerKind::KTails(KTailsLearner::new(1))),
-        "satdfa" => Some(LearnerKind::SatDfa(SatDfaLearner::default())),
-        "lstar" => Some(LearnerKind::Lstar(LstarLearner::default())),
-        _ => None,
-    }
 }
 
 fn usage() -> ExitCode {
@@ -182,7 +169,7 @@ fn parse_options() -> Result<Options, ExitCode> {
             "--json" => options.json = Some(value("--json")?),
             "--learner" => {
                 let name = value("--learner")?;
-                if make_learner(&name).is_none() {
+                if LearnerKind::from_name(&name).is_none() {
                     eprintln!("unknown learner `{name}` (history|ktails|satdfa|lstar)");
                     return Err(usage());
                 }
@@ -297,7 +284,8 @@ fn main() -> ExitCode {
         let results = run_suite(&suite, suite_workers, |benchmark| {
             eprintln!("running {} ...", benchmark.name);
             (
-                make_learner(&options.learner).expect("learner name validated at parse time"),
+                LearnerKind::from_name(&options.learner)
+                    .expect("learner name validated at parse time"),
                 config_for(benchmark, options.quick, condition_workers, options.oracle),
             )
         });

@@ -738,11 +738,10 @@ mod tests {
     #[test]
     fn portfolio_engine_matches_kinduction_and_fills_the_oracle_columns() {
         let b = benchmark_by_name("HomeClimateControlCooler").unwrap();
-        // Explicit-first portfolio (unbounded routing threshold) so the
+        // The explicit-first portfolio (unbounded routing threshold) so the
         // explicit engine actually answers queries on this small system.
         let mut config = quick_config(&b);
-        config.oracle.engine = amle_core::OracleKind::Portfolio;
-        config.oracle.route_threshold = u64::MAX;
+        config.oracle.engine = amle_core::OracleKind::Explicit;
         let (row, report) = run_active(&b, HistoryLearner::default(), config);
         let (_, baseline) = run_active(&b, HistoryLearner::default(), quick_config(&b));
         assert_eq!(

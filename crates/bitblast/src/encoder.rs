@@ -33,10 +33,10 @@ impl Word {
 ///
 /// The encoder is generic over where the clauses go: the default sink is a
 /// plain [`CnfFormula`] blob (handy for DIMACS dumps and golden tests), but
-/// any [`ClauseSink`] works — in particular an
-/// [`amle_sat::IncrementalSolver`], which is how the k-induction checker and
-/// the SAT-based learner keep one persistent solver session per workload
-/// instead of re-encoding from scratch at every query.
+/// any [`ClauseSink`] works — in particular a live [`amle_sat::Solver`],
+/// which is how the k-induction checker and the SAT-based learner keep one
+/// persistent solver session per workload instead of re-encoding from
+/// scratch at every query.
 ///
 /// Boolean and word encodings are memoised per `(frame, expression)`, keyed
 /// by the expression's interned [`ExprId`] — probing is a constant-time

@@ -3,8 +3,8 @@
 //! Word-level to CNF translation (bit-blasting) of `amle-expr` expressions,
 //! emitting clauses into any [`amle_sat::ClauseSink`] — a plain
 //! [`amle_sat::CnfFormula`] container by default, or a live
-//! [`amle_sat::IncrementalSolver`] for the persistent incremental sessions
-//! used by the model checker and the SAT-based learner.
+//! [`amle_sat::Solver`] for the persistent incremental sessions used by the
+//! model checker and the SAT-based learner.
 //!
 //! The central type is [`Encoder`]. It manages *frames* — copies of the
 //! system variables at consecutive time steps — so that the bounded model

@@ -36,9 +36,7 @@
 
 use amle_bitblast::Encoder;
 use amle_expr::{Expr, ExprId, Valuation, Value, VarId};
-use amle_sat::{
-    cdcl_backend, ActivationLedger, ClauseSink, IncrementalSolver, Lit, SolveResult, SolverStats,
-};
+use amle_sat::{ActivationLedger, Lit, SolveResult, Solver, SolverStats};
 use amle_system::System;
 use std::fmt;
 
@@ -117,7 +115,7 @@ pub struct CheckerStats {
     /// Base-session frame disjuncts answered from the activation ledger
     /// without re-encoding.
     pub frames_reused: u64,
-    /// Aggregated backend solver statistics across all sessions, including
+    /// Aggregated solver statistics across all sessions, including
     /// sessions already retired.
     pub solver: SolverStats,
 }
@@ -182,7 +180,7 @@ impl CheckerStats {
     }
 }
 
-/// How the checker manages its SAT backend across queries.
+/// How the checker manages its solver sessions across queries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CheckerMode {
     /// One persistent solver session per query shape; per-query constraints
@@ -195,15 +193,9 @@ pub enum CheckerMode {
     FreshPerQuery,
 }
 
-/// Factory producing fresh solver instances for the checker's sessions.
-///
-/// The produced solver is `Send` so whole checkers (and their persistent
-/// sessions) can be moved into worker threads by the parallel engine.
-pub type SolverBackend = fn() -> Box<dyn IncrementalSolver + Send>;
-
 /// One persistent encoder-over-solver pair.
 struct Session {
-    enc: Encoder<Box<dyn IncrementalSolver + Send>>,
+    enc: Encoder<Solver>,
     /// Number of transition steps already unrolled (frames `0..=unrolled`
     /// exist and are linked).
     unrolled: usize,
@@ -220,9 +212,9 @@ struct Session {
 }
 
 impl Session {
-    fn new(system: &System, backend: SolverBackend) -> Self {
+    fn new(system: &System) -> Self {
         Session {
-            enc: Encoder::with_sink(system.vars(), backend()),
+            enc: Encoder::with_sink(system.vars(), Solver::new()),
             unrolled: 0,
             activations: ActivationLedger::new(),
             disjuncts: ActivationLedger::new(),
@@ -252,7 +244,7 @@ impl Session {
     }
 
     fn solve(&mut self, assumptions: &[Lit]) -> SolveResult {
-        self.enc.sink_mut().solve(assumptions)
+        self.enc.sink_mut().solve_with_assumptions(assumptions)
     }
 
     fn solver_stats(&self) -> SolverStats {
@@ -269,7 +261,6 @@ pub struct KInductionChecker<'a> {
     system: &'a System,
     stats: CheckerStats,
     mode: CheckerMode,
-    backend: SolverBackend,
     /// Fig. 3a session: one transition unrolling, query via assumptions.
     condition: Option<Session>,
     /// Fig. 3b base-case session: `Init` plus a growing unrolling.
@@ -292,23 +283,17 @@ impl fmt::Debug for KInductionChecker<'_> {
 
 impl<'a> KInductionChecker<'a> {
     /// Creates a checker for the given system with persistent incremental
-    /// sessions and the default CDCL backend.
+    /// sessions.
     pub fn new(system: &'a System) -> Self {
         Self::with_mode(system, CheckerMode::Incremental)
     }
 
     /// Creates a checker with an explicit session [`CheckerMode`].
     pub fn with_mode(system: &'a System, mode: CheckerMode) -> Self {
-        Self::with_backend(system, mode, cdcl_backend)
-    }
-
-    /// Creates a checker with an explicit mode and solver backend factory.
-    pub fn with_backend(system: &'a System, mode: CheckerMode, backend: SolverBackend) -> Self {
         KInductionChecker {
             system,
             stats: CheckerStats::default(),
             mode,
-            backend,
             condition: None,
             base: None,
             step: None,
@@ -321,33 +306,9 @@ impl<'a> KInductionChecker<'a> {
         self.system
     }
 
-    /// Creates an independent checker over the same system, mode and solver
-    /// backend, with fresh sessions and zeroed statistics.
-    ///
-    /// This is the session-cloning primitive of the parallel engine: each
-    /// worker forks the template checker once and then keeps its own
-    /// persistent incremental sessions for the lifetime of the run. Because
-    /// counterexamples are canonicalised (see
-    /// [`KInductionChecker::check_condition`]), forked checkers return
-    /// byte-identical results to the original for any query sequence.
-    pub fn fork(&self) -> KInductionChecker<'a> {
-        Self::with_backend(self.system, self.mode, self.backend)
-    }
-
     /// The session mode of this checker.
     pub fn mode(&self) -> CheckerMode {
         self.mode
-    }
-
-    /// The name of the SAT backend in use, read from a live session when one
-    /// exists (constructing a throwaway backend instance only as a fallback).
-    pub fn backend_name(&self) -> &'static str {
-        [&self.condition, &self.base, &self.step]
-            .into_iter()
-            .flatten()
-            .next()
-            .map(|session| session.enc.sink().backend_name())
-            .unwrap_or_else(|| (self.backend)().backend_name())
     }
 
     /// Statistics accumulated so far, including aggregated solver statistics
@@ -358,7 +319,7 @@ impl<'a> KInductionChecker<'a> {
         stats
     }
 
-    /// Aggregated backend statistics across all (live and retired) sessions.
+    /// Aggregated solver statistics across all (live and retired) sessions.
     pub fn solver_stats(&self) -> SolverStats {
         let mut total = self.retired;
         for session in [&self.condition, &self.base, &self.step]
@@ -372,8 +333,8 @@ impl<'a> KInductionChecker<'a> {
 
     /// The condition session, created on first use: input constraints on
     /// frame 0 plus one transition unrolling (which constrains frame 1).
-    fn condition_session(system: &System, backend: SolverBackend) -> Session {
-        let mut session = Session::new(system, backend);
+    fn condition_session(system: &System) -> Session {
+        let mut session = Session::new(system);
         let input_constraints = system.input_constraints_expr();
         session.enc.assert_expr(0, &input_constraints);
         session.ensure_unrolled(system, 1);
@@ -381,8 +342,8 @@ impl<'a> KInductionChecker<'a> {
     }
 
     /// The base-case session: `Init(X₀)`; the unrolling grows per query.
-    fn base_session(system: &System, backend: SolverBackend) -> Session {
-        let mut session = Session::new(system, backend);
+    fn base_session(system: &System) -> Session {
+        let mut session = Session::new(system);
         let init = system.init_expr();
         session.enc.assert_expr(0, &init);
         session
@@ -390,8 +351,8 @@ impl<'a> KInductionChecker<'a> {
 
     /// The step-case session: input constraints on frame 0; the unrolling
     /// grows per query.
-    fn step_session(system: &System, backend: SolverBackend) -> Session {
-        let mut session = Session::new(system, backend);
+    fn step_session(system: &System) -> Session {
+        let mut session = Session::new(system);
         let input_constraints = system.input_constraints_expr();
         session.enc.assert_expr(0, &input_constraints);
         session
@@ -531,9 +492,8 @@ impl<'a> KInductionChecker<'a> {
                 .get_or_insert_with((state_formula.id(), frame), || {
                     let lit = enc.encode_bool(frame, state_formula);
                     let act = Lit::positive(enc.sink_mut().new_var());
-                    let mut clause = vec![!act, lit];
-                    clause.extend(prev);
-                    enc.sink_mut().add_clause(&clause);
+                    enc.sink_mut()
+                        .add_clause([!act, lit].into_iter().chain(prev));
                     act
                 });
             prev = Some(act);
@@ -632,13 +592,13 @@ impl<'a> KInductionChecker<'a> {
         let assumption = assumption.canonical();
         let blocked: Vec<Expr> = blocked.iter().map(Expr::canonical).collect();
         let outgoing: Vec<Expr> = outgoing.iter().map(Expr::canonical).collect();
-        let (system, backend) = (self.system, self.backend);
+        let system = self.system;
         Self::run_query(
             self.mode,
             &mut self.stats,
             &mut self.retired,
             &mut self.condition,
-            || Self::condition_session(system, backend),
+            || Self::condition_session(system),
             |stats, session| {
                 Self::condition_query(stats, session, system, &assumption, &blocked, &outgoing)
             },
@@ -693,13 +653,13 @@ impl<'a> KInductionChecker<'a> {
         // literal and the per-frame encodings of both sessions.
         let state_formula = &state_formula.canonical();
 
-        let (system, backend) = (self.system, self.backend);
+        let system = self.system;
         let base = Self::run_query(
             self.mode,
             &mut self.stats,
             &mut self.retired,
             &mut self.base,
-            || Self::base_session(system, backend),
+            || Self::base_session(system),
             |stats, session| Self::base_query(stats, session, system, state_formula, k),
         );
         if base == SolveResult::Sat {
@@ -711,7 +671,7 @@ impl<'a> KInductionChecker<'a> {
             &mut self.stats,
             &mut self.retired,
             &mut self.step,
-            || Self::step_session(system, backend),
+            || Self::step_session(system),
             |stats, session| Self::step_query(stats, session, system, state_formula, k),
         );
         if step == SolveResult::Unsat {
@@ -988,22 +948,24 @@ mod tests {
 
         // A warmed-up checker whose condition session served unrelated
         // queries first (different learnt clauses and saved phases), plus a
-        // fork of it.
+        // sibling built in its mode, as each parallel worker builds its own.
         let mut warm = KInductionChecker::new(&sys);
         let side = c.le(&Expr::int_val(5, 4));
         assert!(warm.check_condition(&side, &[], &side).is_valid());
         let _ = warm.check_condition(&Expr::true_(), &[], &c.ne(&Expr::int_val(1, 4)));
         let warmed = warm.check_condition(&Expr::true_(), &[], &conclusion);
-        let forked = warm
-            .fork()
-            .check_condition(&Expr::true_(), &[], &conclusion);
+        let sibling = KInductionChecker::with_mode(&sys, warm.mode()).check_condition(
+            &Expr::true_(),
+            &[],
+            &conclusion,
+        );
 
         // And the fresh-per-query oracle.
         let mut fresh = KInductionChecker::with_mode(&sys, CheckerMode::FreshPerQuery);
         let oracle = fresh.check_condition(&Expr::true_(), &[], &conclusion);
 
         assert_eq!(direct, warmed, "session history changed the model");
-        assert_eq!(direct, forked, "fork changed the model");
+        assert_eq!(direct, sibling, "a sibling checker changed the model");
         assert_eq!(direct, oracle, "session mode changed the model");
         match direct {
             CheckResult::Valid => panic!("condition should be violated"),

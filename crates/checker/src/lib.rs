@@ -34,8 +34,8 @@
 //!   size, falls back to k-induction when the explicit budget runs out,
 //!   and offers a cross-validation mode asserting engine agreement.
 //!
-//! [`build_oracle`] assembles the stack described by an
-//! [`OracleSettings`]/[`OracleKind`] pair.
+//! An [`OracleKind`] names one of these stacks; `amle-core` builds it from
+//! its `OracleConfig`, routing portfolio queries at [`ROUTE_THRESHOLD`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -46,12 +46,9 @@ mod oracle;
 mod portfolio;
 
 pub use explicit::{ExplicitChecker, Odometer, DEFAULT_QUERY_BUDGET};
-pub use kinduction::{
-    CheckResult, CheckerMode, CheckerStats, KInductionChecker, SolverBackend, SpuriousResult,
-};
+pub use kinduction::{CheckResult, CheckerMode, CheckerStats, KInductionChecker, SpuriousResult};
 pub use oracle::{
-    build_oracle, state_formula, ConditionOracle, OracleKind, OracleSettings,
-    DEFAULT_EXPLICIT_BUDGET, DEFAULT_ROUTE_THRESHOLD,
+    state_formula, ConditionOracle, OracleKind, DEFAULT_EXPLICIT_BUDGET, ROUTE_THRESHOLD,
 };
 pub use portfolio::PortfolioOracle;
 

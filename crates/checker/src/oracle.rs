@@ -23,9 +23,7 @@
 
 use crate::explicit::ExplicitChecker;
 use crate::kinduction::{CheckResult, CheckerStats, KInductionChecker, SpuriousResult};
-use crate::portfolio::PortfolioOracle;
 use amle_expr::{Expr, Valuation, VarId, VarSet};
-use amle_system::System;
 
 /// A decision procedure for the two query shapes of the learning loop.
 ///
@@ -123,76 +121,13 @@ impl OracleKind {
     }
 }
 
-/// Construction-time settings of an oracle stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OracleSettings {
-    /// Which engine (or combination) answers queries.
-    pub kind: OracleKind,
-    /// Work budget (state/transition evaluations) the explicit engine may
-    /// spend on a single query before the portfolio falls back to
-    /// k-induction.
-    pub explicit_budget: u64,
-    /// Portfolio routing threshold: a query goes to the explicit engine only
-    /// when its estimated concrete cost (input/state product size) is at
-    /// most this many evaluations.
-    pub route_threshold: u64,
-    /// When `true`, every query the portfolio answers explicitly is *also*
-    /// answered by k-induction and the two results are asserted equal — the
-    /// cross-validation mode used by the differential tests.
-    pub cross_validate: bool,
-}
-
-impl Default for OracleSettings {
-    fn default() -> Self {
-        OracleSettings {
-            kind: OracleKind::default(),
-            explicit_budget: DEFAULT_EXPLICIT_BUDGET,
-            route_threshold: DEFAULT_ROUTE_THRESHOLD,
-            cross_validate: false,
-        }
-    }
-}
-
 /// Default per-query work budget of the explicit engine.
 pub const DEFAULT_EXPLICIT_BUDGET: u64 = 1 << 18;
 
-/// Default portfolio routing threshold (estimated evaluations).
-pub const DEFAULT_ROUTE_THRESHOLD: u64 = 1 << 14;
-
-/// Builds the oracle stack described by `settings` over `system`.
-///
-/// * [`OracleKind::KInduction`] — a bare [`KInductionChecker`];
-/// * [`OracleKind::Explicit`] — a [`PortfolioOracle`] with an unbounded
-///   routing threshold (explicit-first, k-induction rescue on budget
-///   exhaustion);
-/// * [`OracleKind::Portfolio`] — a [`PortfolioOracle`] with the configured
-///   threshold.
-///
-/// Each call builds fresh sessions with zeroed statistics, so the parallel
-/// engine can call it once per worker.
-pub fn build_oracle<'a>(
-    system: &'a System,
-    settings: &OracleSettings,
-) -> Box<dyn ConditionOracle + 'a> {
-    match settings.kind {
-        OracleKind::KInduction => Box::new(KInductionChecker::new(system)),
-        OracleKind::Explicit => Box::new(
-            PortfolioOracle::new(
-                system,
-                settings.explicit_budget,
-                u64::MAX,
-                settings.cross_validate,
-            )
-            .named("explicit"),
-        ),
-        OracleKind::Portfolio => Box::new(PortfolioOracle::new(
-            system,
-            settings.explicit_budget,
-            settings.route_threshold,
-            settings.cross_validate,
-        )),
-    }
-}
+/// Portfolio routing threshold: a query goes to the explicit engine only
+/// when its estimated concrete cost (input/state product size) is at most
+/// this many evaluations.
+pub const ROUTE_THRESHOLD: u64 = 1 << 14;
 
 impl ConditionOracle for KInductionChecker<'_> {
     fn check_condition(
@@ -220,8 +155,9 @@ impl ConditionOracle for KInductionChecker<'_> {
 /// The bare explicit engine as an oracle runs **unbudgeted** (no
 /// k-induction rescue): suitable for small systems and for cross-validation
 /// harnesses, but a wide input/state product will be enumerated in full.
-/// [`build_oracle`] therefore never constructs it — [`OracleKind::Explicit`]
-/// gets the explicit-first portfolio, whose budget bounds every query.
+/// `amle-core`'s oracle builder therefore never constructs it —
+/// [`OracleKind::Explicit`] gets the explicit-first portfolio, whose budget
+/// bounds every query.
 impl ConditionOracle for ExplicitChecker<'_> {
     fn check_condition(
         &mut self,

@@ -64,8 +64,8 @@ impl<'a> PortfolioOracle<'a> {
         }
     }
 
-    /// Overrides the reported engine name (used by
-    /// [`crate::build_oracle`] to label the explicit-first stack).
+    /// Overrides the reported engine name (`amle-core` labels the
+    /// explicit-first stack of [`crate::OracleKind::Explicit`] with it).
     pub fn named(mut self, name: &'static str) -> Self {
         self.name = name;
         self

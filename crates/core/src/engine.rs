@@ -9,7 +9,7 @@
 //!    oracle queries, and the spurious-counterexample re-check loop of a
 //!    condition only strengthens that condition's own assumption. The engine
 //!    fans conditions out over a pool of [`std::thread::scope`] workers, each
-//!    owning a private oracle stack (built by [`amle_checker::build_oracle`])
+//!    owning a private oracle stack (built by [`build_oracle`])
 //!    with its own persistent sessions.
 //! 2. **Condition outcomes are pure functions of the condition.** Thanks to
 //!    canonical counterexamples, the full outcome of evaluating a condition —
@@ -49,7 +49,7 @@
 
 use crate::conditions::{Condition, ConditionKind};
 use amle_checker::{
-    build_oracle, CheckResult, CheckerStats, ConditionOracle, OracleKind, OracleSettings,
+    CheckResult, CheckerStats, ConditionOracle, KInductionChecker, OracleKind, PortfolioOracle,
     SpuriousResult,
 };
 use amle_expr::{Expr, Valuation, VarId, VarSet};
@@ -130,9 +130,6 @@ pub struct OracleConfig {
     pub verdict_cache: bool,
     /// Per-query work budget of the explicit engine (portfolio stacks).
     pub explicit_budget: u64,
-    /// Portfolio routing threshold (largest estimated concrete query size
-    /// still routed to the explicit engine).
-    pub route_threshold: u64,
     /// Cross-validation mode: explicitly-routed queries are also answered
     /// by k-induction and the results asserted equal.
     pub cross_validate: bool,
@@ -144,7 +141,6 @@ impl Default for OracleConfig {
             engine: OracleKind::default(),
             verdict_cache: true,
             explicit_budget: amle_checker::DEFAULT_EXPLICIT_BUDGET,
-            route_threshold: amle_checker::DEFAULT_ROUTE_THRESHOLD,
             cross_validate: false,
         }
     }
@@ -178,15 +174,35 @@ impl OracleConfig {
         }
         config
     }
+}
 
-    /// The construction-time settings handed to [`build_oracle`].
-    pub(crate) fn settings(&self) -> OracleSettings {
-        OracleSettings {
-            kind: self.engine,
-            explicit_budget: self.explicit_budget,
-            route_threshold: self.route_threshold,
-            cross_validate: self.cross_validate,
-        }
+/// Builds the oracle stack `config` describes over `system`:
+///
+/// * [`OracleKind::KInduction`] — a bare [`KInductionChecker`];
+/// * [`OracleKind::Explicit`] — a [`PortfolioOracle`] with an unbounded
+///   routing threshold (explicit-first, k-induction rescue on budget
+///   exhaustion);
+/// * [`OracleKind::Portfolio`] — a [`PortfolioOracle`] routing at
+///   [`amle_checker::ROUTE_THRESHOLD`].
+///
+/// Each call builds fresh sessions with zeroed statistics, so the worker
+/// pool calls it once per worker.
+pub(crate) fn build_oracle<'a>(
+    system: &'a System,
+    config: &OracleConfig,
+) -> Box<dyn ConditionOracle + 'a> {
+    let portfolio = |route_threshold| {
+        PortfolioOracle::new(
+            system,
+            config.explicit_budget,
+            route_threshold,
+            config.cross_validate,
+        )
+    };
+    match config.engine {
+        OracleKind::KInduction => Box::new(KInductionChecker::new(system)),
+        OracleKind::Explicit => Box::new(portfolio(u64::MAX).named("explicit")),
+        OracleKind::Portfolio => Box::new(portfolio(amle_checker::ROUTE_THRESHOLD)),
     }
 }
 
@@ -673,7 +689,7 @@ impl<'scope, 'p> WorkerPool<'scope, 'p> {
     /// verdict cache can outlive the pool (worker oracles are rebuilt per
     /// refinement inside their `thread::scope`, but cached verdicts — living
     /// on the merge side — persist).
-    #[allow(clippy::too_many_arguments)] // internal seam; callers are the two refine paths
+    #[allow(clippy::too_many_arguments)] // internal seam; its caller is `refine_store`
     pub fn spawn<'env: 'scope>(
         scope: &'scope thread::Scope<'scope, 'env>,
         system: &'env System,
@@ -687,7 +703,7 @@ impl<'scope, 'p> WorkerPool<'scope, 'p> {
         let (work_tx, work_rx) = mpsc::channel::<WorkItem>();
         let work_rx = Arc::new(Mutex::new(work_rx));
         let (result_tx, result_rx) = mpsc::channel();
-        let settings = oracle.settings();
+        let oracle = *oracle;
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
             let work_rx = Arc::clone(&work_rx);
@@ -697,7 +713,7 @@ impl<'scope, 'p> WorkerPool<'scope, 'p> {
                 let _notifier = PanicNotifier {
                     result_tx: result_tx.clone(),
                 };
-                let mut oracle = build_oracle(system, &settings);
+                let mut oracle = build_oracle(system, &oracle);
                 let vars = system.vars();
                 loop {
                     // Hold the queue lock only for the dequeue itself; the
@@ -811,7 +827,7 @@ mod tests {
         config: &OracleConfig,
     ) -> (Box<dyn ConditionOracle + 'a>, QueryPlanner) {
         (
-            build_oracle(system, &config.settings()),
+            build_oracle(system, config),
             QueryPlanner::new(config.verdict_cache),
         )
     }

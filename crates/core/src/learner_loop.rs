@@ -2,10 +2,11 @@
 
 use crate::conditions::{extract_conditions, AssumptionMemo, Condition, ConditionKind};
 use crate::engine::{
-    ConditionEngine, OracleConfig, ParallelConfig, QueryPlanner, SequentialEngine, WorkerPool,
+    build_oracle, ConditionEngine, OracleConfig, ParallelConfig, QueryPlanner, SequentialEngine,
+    WorkerPool,
 };
 use crate::report::{Invariant, IterationStats, RunReport};
-use amle_checker::build_oracle;
+use amle_checker::ConditionOracle;
 use amle_expr::{Valuation, VarId};
 use amle_learner::{LearnError, ModelLearner};
 use amle_system::{Simulator, System, Trace, TraceId, TraceSet, TraceStore};
@@ -44,9 +45,9 @@ pub struct ActiveLearnerConfig {
     pub parallel: ParallelConfig,
     /// The condition-oracle stack and planner behaviour: which engine
     /// answers queries (`AMLE_ENGINE`), whether the cross-iteration verdict
-    /// cache is on (`AMLE_VERDICT_CACHE`), and the portfolio's budget /
-    /// routing / cross-validation knobs. Semantic fingerprints are
-    /// byte-identical across engines and cache settings.
+    /// cache is on (`AMLE_VERDICT_CACHE`), the explicit engine's per-query
+    /// budget and the portfolio's cross-validation switch. Semantic
+    /// fingerprints are byte-identical across engines and cache settings.
     pub oracle: OracleConfig,
 }
 
@@ -222,10 +223,7 @@ impl<'a, L: ModelLearner> ActiveLearner<'a, L> {
 
     /// The observable variables of this run.
     pub fn observables(&self) -> Vec<VarId> {
-        self.config
-            .observables
-            .clone()
-            .unwrap_or_else(|| self.system.all_vars())
+        observables_of(self.system, &self.config)
     }
 
     /// Runs the loop starting from randomly generated traces.
@@ -287,8 +285,8 @@ impl<'a, L: ModelLearner> ActiveLearner<'a, L> {
     /// Runs the loop starting from a user-supplied initial trace set.
     ///
     /// When `config.parallel.workers > 1` the per-iteration condition checks
-    /// are fanned out over that many scoped worker threads, each owning a
-    /// forked checker with persistent incremental sessions; results are
+    /// are fanned out over that many scoped worker threads, each owning its
+    /// own oracle stack with persistent incremental sessions; results are
     /// merged in condition order and the report is byte-identical to a
     /// sequential run (see [`crate::ParallelConfig`]).
     ///
@@ -296,70 +294,100 @@ impl<'a, L: ModelLearner> ActiveLearner<'a, L> {
     ///
     /// As for [`ActiveLearner::run`].
     pub fn run_with_traces(&mut self, traces: TraceSet) -> Result<RunReport, ActiveLearnError> {
-        let observables = self.observables();
-        let workers = self.config.parallel.workers.max(1);
-        let (k, max_spurious_rounds) = (self.config.k, self.config.max_spurious_rounds);
-        let oracle_config = self.config.oracle;
-        let max_iterations = self.config.max_iterations;
         let mut store = TraceStore::from_trace_set(&traces);
         drop(traces);
-        // The engine's owned halves: a batch run builds both fresh and drops
-        // them with the report. A resident `Session` owns the same pieces and
-        // keeps them warm across refinement calls.
-        let mut planner = QueryPlanner::new(oracle_config.verdict_cache);
-        if workers == 1 {
-            let mut oracle = build_oracle(self.system, &oracle_config.settings());
-            let engine = SequentialEngine::new(
-                self.system,
-                &mut *oracle,
-                &mut planner,
+        // A batch run builds the engine's owned halves fresh and drops them
+        // with the report; a resident `Session` keeps them warm.
+        refine_store(
+            self.system,
+            &mut self.learner,
+            &self.config,
+            &mut store,
+            &mut None,
+            &mut QueryPlanner::new(self.config.oracle.verdict_cache),
+        )
+    }
+}
+
+/// The observables `config` names, or every variable of `system`.
+pub(crate) fn observables_of(system: &System, config: &ActiveLearnerConfig) -> Vec<VarId> {
+    config
+        .observables
+        .clone()
+        .unwrap_or_else(|| system.all_vars())
+}
+
+/// Runs the refinement loop over `store` on the engine `config` selects:
+/// with one worker a [`SequentialEngine`] over the oracle in `oracle`
+/// (built on first use and kept there), otherwise a [`WorkerPool`] whose
+/// workers build their own oracles for this call. The planner's verdict
+/// cache serves both.
+///
+/// Both front doors run through this function: the batch
+/// [`ActiveLearner`] passes an empty oracle slot and a fresh planner, a
+/// resident [`crate::Session`] its warm ones. The report's checker
+/// statistics cover exactly this call.
+pub(crate) fn refine_store<'a, L: ModelLearner>(
+    system: &'a System,
+    learner: &mut L,
+    config: &ActiveLearnerConfig,
+    store: &mut TraceStore,
+    oracle: &mut Option<Box<dyn ConditionOracle + 'a>>,
+    planner: &mut QueryPlanner,
+) -> Result<RunReport, ActiveLearnError> {
+    let observables = observables_of(system, config);
+    let workers = config.parallel.workers.max(1);
+    let (k, max_spurious_rounds) = (config.k, config.max_spurious_rounds);
+    if workers == 1 {
+        let oracle = oracle.get_or_insert_with(|| build_oracle(system, &config.oracle));
+        // A warm oracle accumulates across calls; snapshot so the report
+        // covers exactly this one.
+        let checker_before = oracle.stats();
+        let engine = SequentialEngine::new(
+            system,
+            &mut **oracle,
+            planner,
+            observables.clone(),
+            k,
+            max_spurious_rounds,
+        );
+        let mut report = run_refinement(
+            system,
+            learner,
+            &observables,
+            config.max_iterations,
+            store,
+            engine,
+        )?;
+        report.checker_stats = report.checker_stats.since(&checker_before);
+        Ok(report)
+    } else {
+        thread::scope(|scope| {
+            let engine = WorkerPool::spawn(
+                scope,
+                system,
                 observables.clone(),
+                workers,
                 k,
                 max_spurious_rounds,
+                &config.oracle,
+                planner,
             );
             run_refinement(
-                self.system,
-                &mut self.learner,
+                system,
+                learner,
                 &observables,
-                max_iterations,
-                &mut store,
+                config.max_iterations,
+                store,
                 engine,
             )
-        } else {
-            let system = self.system;
-            let learner = &mut self.learner;
-            thread::scope(|scope| {
-                let engine = WorkerPool::spawn(
-                    scope,
-                    system,
-                    observables.clone(),
-                    workers,
-                    k,
-                    max_spurious_rounds,
-                    &oracle_config,
-                    &mut planner,
-                );
-                run_refinement(
-                    system,
-                    learner,
-                    &observables,
-                    max_iterations,
-                    &mut store,
-                    engine,
-                )
-            })
-        }
+        })
     }
 }
 
 /// The iteration loop of Fig. 1, generic over the condition-checking engine
-/// and running over an **externally owned** trace store.
-///
-/// This is the shared core of the batch [`ActiveLearner`] and the resident
-/// [`crate::Session`]: the batch path builds a fresh store from its initial
-/// trace set and drops it with the report, while a session keeps the store
-/// (plus the engine's oracle and verdict cache) alive across calls, so each
-/// refinement continues from the spliced result of the previous one.
+/// and running over an **externally owned** trace store (see
+/// [`refine_store`], which picks the engine).
 ///
 /// The trace set lives in an interned [`TraceStore`]: the learner consumes
 /// it through [`ModelLearner::learn_from_store`] (incremental word
@@ -709,6 +737,25 @@ mod tests {
             learner.run(),
             Err(ActiveLearnError::BadConfig { .. })
         ));
+    }
+
+    /// A batch run over no traces fails in the learner on either engine,
+    /// unlike `Session::refine`, which rejects an empty store up front.
+    #[test]
+    fn batch_run_without_traces_is_a_learner_error() {
+        let sys = cooler();
+        for workers in [1, 2] {
+            let config = ActiveLearnerConfig {
+                parallel: ParallelConfig::with_workers(workers),
+                ..quick_config()
+            };
+            let mut learner = ActiveLearner::new(&sys, HistoryLearner::default(), config);
+            assert_eq!(
+                learner.run_with_traces(TraceSet::new()).unwrap_err(),
+                ActiveLearnError::Learner(LearnError::NoTraces),
+                "{workers} worker(s)"
+            );
+        }
     }
 
     #[test]

@@ -24,14 +24,13 @@
 //! engine and cache setting. The integration tests of `amle-serve` pin this
 //! differentially over a TCP boundary.
 
-use crate::engine::{QueryPlanner, SequentialEngine, VerdictCacheStats, WorkerPool};
-use crate::learner_loop::{run_refinement, ActiveLearnError, ActiveLearnerConfig};
+use crate::engine::{QueryPlanner, VerdictCacheStats};
+use crate::learner_loop::{observables_of, refine_store, ActiveLearnError, ActiveLearnerConfig};
 use crate::report::RunReport;
-use amle_checker::{build_oracle, CheckerStats, ConditionOracle};
+use amle_checker::{CheckerStats, ConditionOracle};
 use amle_expr::VarId;
 use amle_learner::ModelLearner;
 use amle_system::{System, Trace, TraceStore, TraceStoreStats};
-use std::thread;
 
 /// Result of folding one trace batch into a session's store.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -153,10 +152,7 @@ impl<'a, L: ModelLearner> Session<'a, L> {
 
     /// The observable variables of this session's abstraction.
     pub fn observables(&self) -> Vec<VarId> {
-        self.config
-            .observables
-            .clone()
-            .unwrap_or_else(|| self.system.all_vars())
+        observables_of(self.system, &self.config)
     }
 
     /// The interned store the ingested (and spliced) traces live in.
@@ -208,57 +204,14 @@ impl<'a, L: ModelLearner> Session<'a, L> {
                 reason: "refine requires at least one ingested trace".to_string(),
             });
         }
-        let observables = self.observables();
-        let workers = self.config.parallel.workers.max(1);
-        let (k, max_spurious_rounds) = (self.config.k, self.config.max_spurious_rounds);
-        let max_iterations = self.config.max_iterations;
-        let oracle_config = self.config.oracle;
-
-        let mut report = if workers == 1 {
-            let system = self.system;
-            let oracle = self
-                .oracle
-                .get_or_insert_with(|| build_oracle(system, &oracle_config.settings()));
-            // The oracle accumulates across refinements; snapshot so the
-            // report covers exactly this call.
-            let checker_before = oracle.stats();
-            let engine = SequentialEngine::new(
-                self.system,
-                &mut **oracle,
-                &mut self.planner,
-                observables.clone(),
-                k,
-                max_spurious_rounds,
-            );
-            let mut report = run_refinement(
-                self.system,
-                &mut self.learner,
-                &observables,
-                max_iterations,
-                &mut self.store,
-                engine,
-            )?;
-            report.checker_stats = report.checker_stats.since(&checker_before);
-            report
-        } else {
-            let system = self.system;
-            let learner = &mut self.learner;
-            let store = &mut self.store;
-            let planner = &mut self.planner;
-            thread::scope(|scope| {
-                let engine = WorkerPool::spawn(
-                    scope,
-                    system,
-                    observables.clone(),
-                    workers,
-                    k,
-                    max_spurious_rounds,
-                    &oracle_config,
-                    planner,
-                );
-                run_refinement(system, learner, &observables, max_iterations, store, engine)
-            })?
-        };
+        let mut report = refine_store(
+            self.system,
+            &mut self.learner,
+            &self.config,
+            &mut self.store,
+            &mut self.oracle,
+            &mut self.planner,
+        )?;
 
         // The planner persists across refinements; the report carries this
         // call's delta (`entries` is a gauge and passes through).

@@ -166,10 +166,10 @@ fn circuit_fingerprints_identical_across_engines_cache_and_workers() {
 
 #[test]
 fn explicit_first_portfolio_matches_kinduction_on_small_systems() {
-    // Small input/state products are the explicit engine's home turf; an
-    // unbounded routing threshold forces every query through it (with
-    // k-induction rescuing budget exhaustions), and cross-validation
-    // additionally asserts per-query agreement inside the portfolio.
+    // Small input/state products are the explicit engine's home turf; the
+    // explicit-first portfolio's unbounded routing threshold forces every
+    // query through it (with k-induction rescuing budget exhaustions), and
+    // cross-validation additionally asserts per-query agreement inside it.
     let small: Vec<Benchmark> = full_suite()
         .into_iter()
         .filter(|b| {
@@ -184,8 +184,7 @@ fn explicit_first_portfolio_matches_kinduction_on_small_systems() {
         let vars = benchmark.system.vars();
         let baseline = run(&benchmark, 1, kinduction());
         let explicit_first = OracleConfig {
-            engine: OracleKind::Portfolio,
-            route_threshold: u64::MAX,
+            engine: OracleKind::Explicit,
             cross_validate: true,
             ..OracleConfig::default()
         };

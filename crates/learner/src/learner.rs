@@ -160,6 +160,21 @@ pub enum LearnerKind {
     Lstar(crate::LstarLearner),
 }
 
+impl LearnerKind {
+    /// A fresh learner of the named kind: `history`, `ktails` (k = 1),
+    /// `satdfa` (also `sat-dfa`, its [`ModelLearner::name`]) or `lstar`.
+    /// `None` for any other name.
+    pub fn from_name(name: &str) -> Option<LearnerKind> {
+        match name {
+            "history" => Some(LearnerKind::History(crate::HistoryLearner::default())),
+            "ktails" => Some(LearnerKind::KTails(crate::KTailsLearner::new(1))),
+            "satdfa" | "sat-dfa" => Some(LearnerKind::SatDfa(crate::SatDfaLearner::default())),
+            "lstar" => Some(LearnerKind::Lstar(crate::LstarLearner::default())),
+            _ => None,
+        }
+    }
+}
+
 impl ModelLearner for LearnerKind {
     fn learn(
         &mut self,
@@ -337,5 +352,17 @@ mod tests {
     #[test]
     fn learner_kind_default_is_history() {
         assert_eq!(LearnerKind::default().name(), "history");
+    }
+
+    #[test]
+    fn kind_names_round_trip() {
+        for name in ["history", "ktails", "satdfa", "lstar"] {
+            let kind = LearnerKind::from_name(name).expect("flag spelling parses");
+            let again = LearnerKind::from_name(kind.name()).expect("report name parses");
+            assert_eq!(again.name(), kind.name());
+        }
+        assert_eq!(LearnerKind::from_name("satdfa").unwrap().name(), "sat-dfa");
+        assert!(LearnerKind::from_name("nonsense").is_none());
+        assert!(LearnerKind::from_name(" history").is_none());
     }
 }

@@ -1,6 +1,6 @@
 //! Activation-literal bookkeeping for incremental sessions.
 //!
-//! Consumers of [`crate::IncrementalSolver`] express retractable constraints
+//! Persistent [`crate::Solver`] sessions express retractable constraints
 //! through activation literals: a clause `¬act ∨ C` is added once and `C`
 //! bites only in queries that assume `act`. The pattern recurs in every
 //! long-lived session — per-`(formula, bound)` reachability disjunctions,
@@ -84,7 +84,7 @@ impl<K: Hash + Eq> ActivationLedger<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClauseSink, IncrementalSolver, SolveResult, Solver};
+    use crate::{ClauseSink, SolveResult, Solver};
 
     #[test]
     fn ledger_allocates_once_and_counts() {
@@ -123,21 +123,21 @@ mod tests {
         let force_false =
             ledger.get_or_insert_with("not-x", || guard(&mut solver, Lit::negative(x)));
         assert_eq!(
-            IncrementalSolver::solve(&mut solver, &[force_true]),
+            solver.solve_with_assumptions(&[force_true]),
             SolveResult::Sat
         );
-        assert_eq!(solver.model_value(x), Some(true));
+        assert_eq!(solver.value(x), Some(true));
         assert_eq!(
-            IncrementalSolver::solve(&mut solver, &[force_false]),
+            solver.solve_with_assumptions(&[force_false]),
             SolveResult::Sat
         );
-        assert_eq!(solver.model_value(x), Some(false));
+        assert_eq!(solver.value(x), Some(false));
         assert_eq!(
-            IncrementalSolver::solve(&mut solver, &[force_true, force_false]),
+            solver.solve_with_assumptions(&[force_true, force_false]),
             SolveResult::Unsat
         );
         // Both constraints retracted: the solver is free again.
-        assert_eq!(IncrementalSolver::solve(&mut solver, &[]), SolveResult::Sat);
+        assert_eq!(solver.solve_with_assumptions(&[]), SolveResult::Sat);
         assert_eq!(ledger.fresh(), 2);
     }
 }

@@ -4,8 +4,8 @@
 //! the reasoning engine behind the bit-blasted bounded model checker and the
 //! SAT-based automaton identification in the model learner. Every
 //! condition-check and spurious-counterexample query of the paper (Fig. 3a
-//! and 3b, Section III-B) bottoms out in [`Solver::solve`] calls issued
-//! through the incremental backend seam.
+//! and 3b, Section III-B) bottoms out in
+//! [`Solver::solve_with_assumptions`] calls on a persistent solver session.
 //!
 //! Features:
 //!
@@ -15,8 +15,9 @@
 //! * Luby restarts and glue/activity-tiered learnt-clause database
 //!   reduction under one fixed search policy (see [`Solver`]),
 //! * solving under assumptions (incremental use),
-//! * a pluggable backend seam ([`IncrementalSolver`] / [`ClauseSink`]) so the
-//!   checker and learner can keep one solver session alive across queries,
+//! * persistent sessions: clauses can be added between solves, so the
+//!   checker and learner keep one solver alive across queries and encode
+//!   into it through [`ClauseSink`],
 //! * a plain [`CnfFormula`] container and DIMACS import/export for testing.
 //!
 //! The solver is deliberately dependency-free and single-threaded: the CNF
@@ -51,7 +52,7 @@ mod solver;
 
 pub use cnf::CnfFormula;
 pub use dimacs::{parse_dimacs, write_dimacs, ParseDimacsError};
-pub use incremental::{cdcl_backend, ClauseSink, IncrementalSolver};
+pub use incremental::ClauseSink;
 pub use ledger::ActivationLedger;
 pub use lit::{Lit, Var};
 pub use solver::{SolveResult, Solver, SolverStats};

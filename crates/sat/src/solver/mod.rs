@@ -365,16 +365,13 @@ impl Solver {
 
     /// The value of a variable in the most recent satisfying model.
     ///
-    /// Returns `None` for variables that were never assigned (possible only
-    /// before the first successful [`Solver::solve`] call, or for variables
-    /// added afterwards).
-    ///
-    /// Only meaningful while [`Solver::has_model`] is true: an Unsat solve or
-    /// an incremental [`Solver::add_clause`] discards the model, after which
-    /// this returns the residual top-level assignment, not model values. The
-    /// [`crate::IncrementalSolver`] trait methods perform this check.
+    /// Returns `None` while no model is available (see
+    /// [`Solver::has_model`]): before the first Sat solve, after an Unsat
+    /// one, and after an incremental [`Solver::add_clause`], which discards
+    /// the model. Read model values before growing the formula. Also `None`
+    /// for variables the model left unassigned or that were added after it.
     pub fn value(&self, var: Var) -> Option<bool> {
-        if var.index() >= self.num_vars() {
+        if !self.model_valid || var.index() >= self.num_vars() {
             return None;
         }
         self.lit_value(Lit::positive(var))
@@ -387,10 +384,8 @@ impl Solver {
     }
 
     /// The most recent satisfying model as a dense vector indexed by
-    /// variable. Unassigned variables default to `false`.
-    ///
-    /// As with [`Solver::value`], only meaningful while [`Solver::has_model`]
-    /// is true; read the model before growing the formula.
+    /// variable. Unassigned variables default to `false`, and so does every
+    /// variable while no model is available (as for [`Solver::value`]).
     pub fn model(&self) -> Vec<bool> {
         (0..self.num_vars())
             .map(|i| self.value(Var::from_index(i)).unwrap_or(false))
@@ -904,6 +899,33 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Model reads are guarded by `has_model`: after an Unsat solve and
+    /// after a clause added to a solved formula, `value` and `model` must
+    /// not leak the residual top-level assignment (here the unit `x`) as if
+    /// it were a model.
+    #[test]
+    fn no_model_is_read_after_unsat_or_growth() {
+        let (mut s, v) = solver_with_vars(2);
+        let (x, y) = (v[0], v[1]);
+        s.add_clause([Lit::positive(x)]);
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert_eq!(s.value(x), Some(true));
+
+        assert_eq!(
+            s.solve_with_assumptions(&[Lit::negative(x)]),
+            SolveResult::Unsat
+        );
+        assert!(!s.has_model());
+        assert_eq!(s.value(x), None, "value read after an Unsat solve");
+        assert_eq!(s.model(), vec![false, false]);
+
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert!(s.add_clause([Lit::positive(x), Lit::positive(y)]));
+        assert!(!s.has_model());
+        assert_eq!(s.value(x), None, "value read after add_clause");
+        assert_eq!(s.model(), vec![false, false]);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use amle_core::{
     fingerprint_digest, ActiveLearnerConfig, InternerStats, OracleKind, ParallelConfig, Session,
     SessionStats,
 };
-use amle_learner::{HistoryLearner, KTailsLearner, LearnerKind, LstarLearner, SatDfaLearner};
+use amle_learner::LearnerKind;
 use amle_system::wire;
 use amle_system::System;
 use std::io::Write as _;
@@ -118,8 +118,8 @@ impl SessionSpec {
         }
         if let Some(v) = config.get("learner") {
             let name = v.as_str().ok_or("`learner` must be a string")?;
-            make_learner(name)?; // validate eagerly
             spec.learner = name.to_string();
+            spec.new_learner()?; // validate eagerly
         }
         if let Some(v) = config.get("engine") {
             let name = v.as_str().ok_or("`engine` must be a string")?;
@@ -159,6 +159,16 @@ impl SessionSpec {
         SessionSpec::from_request(system, Some(config))
     }
 
+    /// A fresh learner of the kind this spec names.
+    fn new_learner(&self) -> Result<LearnerKind, String> {
+        LearnerKind::from_name(&self.learner).ok_or_else(|| {
+            format!(
+                "unknown learner `{}` (history|ktails|satdfa|lstar)",
+                self.learner
+            )
+        })
+    }
+
     fn learner_config(&self, benchmark: &Benchmark) -> ActiveLearnerConfig {
         ActiveLearnerConfig {
             observables: Some(benchmark.observables.clone()),
@@ -173,19 +183,6 @@ impl SessionSpec {
             },
             ..ActiveLearnerConfig::default()
         }
-    }
-}
-
-/// Builds a fresh learner of the named kind.
-pub fn make_learner(name: &str) -> Result<LearnerKind, String> {
-    match name {
-        "history" => Ok(LearnerKind::History(HistoryLearner::default())),
-        "ktails" => Ok(LearnerKind::KTails(KTailsLearner::new(1))),
-        "satdfa" => Ok(LearnerKind::SatDfa(SatDfaLearner::default())),
-        "lstar" => Ok(LearnerKind::Lstar(LstarLearner::default())),
-        other => Err(format!(
-            "unknown learner `{other}` (history|ktails|satdfa|lstar)"
-        )),
     }
 }
 
@@ -286,7 +283,7 @@ pub fn spawn_session(
 ) -> Result<(SessionHandle, ReadyInfo), String> {
     let benchmark = benchmark_by_name(&spec.system)
         .ok_or_else(|| format!("unknown system `{}`", spec.system))?;
-    make_learner(&spec.learner)?;
+    spec.new_learner()?;
     let (tx, rx) = mpsc::sync_channel(spec.queue_capacity);
     let (ready_tx, ready_rx) = mpsc::channel();
     let actor_spec = spec.clone();
@@ -340,7 +337,7 @@ fn actor_main(
     // why sessions are threads rather than entries in a shared map.
     let system = benchmark.system.clone();
     let config = spec.learner_config(&benchmark);
-    let learner = match make_learner(&spec.learner) {
+    let learner = match spec.new_learner() {
         Ok(l) => l,
         Err(reason) => {
             let _ = ready.send(Err(reason));
@@ -824,7 +821,10 @@ mod tests {
         let config = obj([("learner", Json::from("telepathy"))]);
         let err = SessionSpec::from_request("HomeClimateControlCooler".to_string(), Some(&config))
             .unwrap_err();
-        assert!(err.contains("unknown learner"));
+        assert_eq!(
+            err,
+            "unknown learner `telepathy` (history|ktails|satdfa|lstar)"
+        );
         let config = obj([("engine", Json::from("oracle-of-delphi"))]);
         let err = SessionSpec::from_request("HomeClimateControlCooler".to_string(), Some(&config))
             .unwrap_err();

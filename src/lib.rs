@@ -12,10 +12,9 @@
 //!   (`amle-automaton`);
 //! * [`learner`] — pluggable passive learners: history, k-tails, SAT-based
 //!   DFA identification, L\* (`amle-learner`);
-//! * [`sat`] / [`bitblast`] / [`checker`] — the CDCL solver behind the
-//!   pluggable [`sat::IncrementalSolver`] backend seam, the word-level CNF
-//!   encoder (generic over any [`sat::ClauseSink`]) and the k-induction
-//!   model checker with persistent incremental solver sessions;
+//! * [`sat`] / [`bitblast`] / [`checker`] — the CDCL [`sat::Solver`], the
+//!   word-level CNF encoder (generic over any [`sat::ClauseSink`]) and the
+//!   k-induction model checker with persistent incremental solver sessions;
 //! * [`active`] — the active-learning loop, completeness conditions,
 //!   invariants and the random-sampling baseline (`amle-core`);
 //! * [`benchmarks`] — the Stateflow-style evaluation suite
