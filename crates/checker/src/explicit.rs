@@ -42,9 +42,6 @@ use amle_expr::{Expr, Sort, Valuation, Value, VarId};
 use amle_system::System;
 use std::collections::{HashMap, HashSet};
 
-/// Default per-query work budget used by [`ExplicitChecker::new`].
-pub const DEFAULT_QUERY_BUDGET: u64 = 1 << 18;
-
 /// The admissible values of one variable as inclusive runs of *raw* (bit
 /// pattern) encodings in ascending raw order.
 ///
@@ -261,27 +258,17 @@ pub struct ExplicitChecker<'a> {
     /// Cap on interned states for the legacy fixpoint queries
     /// ([`ExplicitChecker::reachable_states`] and friends).
     max_states: usize,
-    /// Work budget for one budgeted query (used by the unbudgeted
-    /// [`crate::ConditionOracle`] entry points via `u64::MAX`).
-    query_budget: u64,
     stats: CheckerStats,
     reach: ReachCache,
 }
 
 impl<'a> ExplicitChecker<'a> {
     /// Creates an explicit checker with a cap on the number of distinct
-    /// states the fixpoint queries may intern, and the default per-query
-    /// work budget.
+    /// states the fixpoint queries may intern.
     pub fn new(system: &'a System, max_states: usize) -> Self {
-        Self::with_budget(system, max_states, DEFAULT_QUERY_BUDGET)
-    }
-
-    /// Creates an explicit checker with an explicit per-query work budget.
-    pub fn with_budget(system: &'a System, max_states: usize, query_budget: u64) -> Self {
         ExplicitChecker {
             system,
             max_states,
-            query_budget,
             stats: CheckerStats::default(),
             reach: ReachCache::default(),
         }
@@ -290,11 +277,6 @@ impl<'a> ExplicitChecker<'a> {
     /// The system under check.
     pub fn system(&self) -> &System {
         self.system
-    }
-
-    /// The per-query work budget of this checker.
-    pub fn query_budget(&self) -> u64 {
-        self.query_budget
     }
 
     /// Statistics accumulated so far. `explicit_work` counts charged work

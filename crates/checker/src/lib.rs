@@ -45,7 +45,7 @@ mod kinduction;
 mod oracle;
 mod portfolio;
 
-pub use explicit::{ExplicitChecker, Odometer, DEFAULT_QUERY_BUDGET};
+pub use explicit::{ExplicitChecker, Odometer};
 pub use kinduction::{CheckResult, CheckerMode, CheckerStats, KInductionChecker, SpuriousResult};
 pub use oracle::{
     state_formula, ConditionOracle, OracleKind, DEFAULT_EXPLICIT_BUDGET, ROUTE_THRESHOLD,

@@ -34,7 +34,6 @@ pub struct PortfolioOracle<'a> {
     route_threshold: u64,
     cross_validate: bool,
     fallbacks: u64,
-    name: &'static str,
 }
 
 impl<'a> PortfolioOracle<'a> {
@@ -54,21 +53,13 @@ impl<'a> PortfolioOracle<'a> {
         cross_validate: bool,
     ) -> Self {
         PortfolioOracle {
-            explicit: ExplicitChecker::with_budget(system, usize::MAX, explicit_budget),
+            explicit: ExplicitChecker::new(system, usize::MAX),
             kinduction: KInductionChecker::new(system),
             explicit_budget,
             route_threshold,
             cross_validate,
             fallbacks: 0,
-            name: "portfolio",
         }
-    }
-
-    /// Overrides the reported engine name (`amle-core` labels the
-    /// explicit-first stack of [`crate::OracleKind::Explicit`] with it).
-    pub fn named(mut self, name: &'static str) -> Self {
-        self.name = name;
-        self
     }
 
     /// The system under check.
@@ -139,10 +130,6 @@ impl ConditionOracle for PortfolioOracle<'_> {
         stats += self.kinduction.stats();
         stats.explicit_fallbacks += self.fallbacks;
         stats
-    }
-
-    fn engine_name(&self) -> &'static str {
-        self.name
     }
 }
 

@@ -1,6 +1,6 @@
 //! The condition-checking engine: a query planner over pluggable condition
 //! oracles, with a cross-iteration verdict cache and a failure-history
-//! priority order, executing sequentially or over a worker pool.
+//! priority order, solving on one oracle per worker.
 //!
 //! Checking the extracted conditions dominates the wall-clock time of an
 //! active-learning iteration. Three observations shape the engine:
@@ -8,9 +8,11 @@
 //! 1. **Conditions are mutually independent** — each is decided by its own
 //!    oracle queries, and the spurious-counterexample re-check loop of a
 //!    condition only strengthens that condition's own assumption. The engine
-//!    fans conditions out over a pool of [`std::thread::scope`] workers, each
-//!    owning a private oracle stack (built by [`build_oracle`])
-//!    with its own persistent sessions.
+//!    ([`ConditionChecker`]) owns one oracle stack per worker (built by
+//!    [`build_oracle`]), each with its own incremental solver sessions, and
+//!    keeps them for its whole lifetime — a batch run or a resident
+//!    session. One worker solves inline on the calling thread; more fan the
+//!    conditions out over [`std::thread::scope`] threads, one per oracle.
 //! 2. **Condition outcomes are pure functions of the condition.** Thanks to
 //!    canonical counterexamples, the full outcome of evaluating a condition —
 //!    verdict, counterexample transition, spurious rounds — depends only on
@@ -31,8 +33,8 @@
 //!    *assumption* produced counterexamples before is the best candidate to
 //!    fail again. The planner orders pending work by per-assumption failure
 //!    counts (ties broken by condition index), so likely-failing conditions
-//!    surface counterexamples first and the worker pool spends its early
-//!    slots where refinement progress is made.
+//!    surface counterexamples first and the workers spend their early slots
+//!    where refinement progress is made.
 //!
 //! **Determinism guarantee.** The merged [`ConditionEvaluation`] is
 //! byte-identical for every worker count (including 1), every oracle engine
@@ -42,12 +44,13 @@
 //!   canonicalised, so each condition's outcome is a pure function of the
 //!   condition and the system — across engines too (see `amle-checker`);
 //! * cached outcomes are exactly the outcomes the oracle would recompute;
-//! * workers pull work items from a shared queue (dynamic load balancing),
-//!   and results are merged back **in condition order**, so neither
+//! * workers pull pending work from a shared counter (dynamic load
+//!   balancing), and results are merged back **in condition order**, so neither
 //!   scheduling, priority order nor completion order can leak into the
 //!   report.
 
 use crate::conditions::{Condition, ConditionKind};
+use crate::learner_loop::{observables_of, ActiveLearnerConfig};
 use amle_checker::{
     CheckResult, CheckerStats, ConditionOracle, KInductionChecker, OracleKind, PortfolioOracle,
     SpuriousResult,
@@ -55,8 +58,7 @@ use amle_checker::{
 use amle_expr::{Expr, Valuation, VarId, VarSet};
 use amle_system::System;
 use std::collections::HashMap;
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
 /// Parallelism configuration of the condition-checking engine.
@@ -185,8 +187,8 @@ impl OracleConfig {
 /// * [`OracleKind::Portfolio`] — a [`PortfolioOracle`] routing at
 ///   [`amle_checker::ROUTE_THRESHOLD`].
 ///
-/// Each call builds fresh sessions with zeroed statistics, so the worker
-/// pool calls it once per worker.
+/// Each call builds fresh sessions with zeroed statistics; the engine calls
+/// it once per worker.
 pub(crate) fn build_oracle<'a>(
     system: &'a System,
     config: &OracleConfig,
@@ -201,7 +203,7 @@ pub(crate) fn build_oracle<'a>(
     };
     match config.engine {
         OracleKind::KInduction => Box::new(KInductionChecker::new(system)),
-        OracleKind::Explicit => Box::new(portfolio(u64::MAX).named("explicit")),
+        OracleKind::Explicit => Box::new(portfolio(u64::MAX)),
         OracleKind::Portfolio => Box::new(portfolio(amle_checker::ROUTE_THRESHOLD)),
     }
 }
@@ -566,231 +568,144 @@ fn finish_evaluation(conditions: &[Condition], plan: PlannedWork) -> ConditionEv
     evaluation
 }
 
-/// Statistics surrendered by an engine at the end of a run.
-pub(crate) struct EngineStats {
-    pub checker: CheckerStats,
-    pub cache: VerdictCacheStats,
-}
-
-/// A condition-checking engine usable by the active-learning loop: evaluates
-/// whole condition sets and surrenders its accumulated statistics at the end
-/// of the run.
-pub(crate) trait ConditionEngine {
-    fn evaluate(&mut self, conditions: &[Condition]) -> ConditionEvaluation;
-    fn finish(self) -> EngineStats;
-}
-
-/// The sequential engine: one oracle stack on the calling thread plus the
-/// planner — the paper's Fig. 1 behaviour with cached verdicts.
+/// The condition-checking engine: the query planner plus one oracle per
+/// worker, all owned for the engine's lifetime — a batch run builds one per
+/// run, a resident [`crate::Session`] keeps one across refinements — so
+/// every oracle's incremental solver sessions stay warm between
+/// evaluations.
 ///
-/// Both the oracle and the planner are **borrowed**, not owned: the caller
-/// decides their lifetime. A batch run builds both fresh and drops them with
-/// the report; a resident [`crate::Session`] keeps the same warm oracle
-/// (incremental solver sessions intact) and the same verdict cache across
-/// many refinement calls.
-pub(crate) struct SequentialEngine<'o, 'a> {
+/// The oracles are built on the first evaluation that has work to solve.
+/// With one worker the pending conditions are solved inline on the calling
+/// thread. With more, each evaluation opens a [`thread::scope`] in which
+/// every oracle gets a thread that pulls pending work in planner order from
+/// a shared counter; a panicking worker fails the evaluation when its
+/// handle is joined. Outcomes are recorded in planner order either way, so
+/// the planner's state evolves identically for every worker count.
+pub(crate) struct ConditionChecker<'a> {
     system: &'a System,
-    oracle: &'o mut (dyn ConditionOracle + 'a),
-    planner: &'o mut QueryPlanner,
     observables: Vec<VarId>,
     k: usize,
     max_spurious_rounds: usize,
+    workers: usize,
+    oracle_config: OracleConfig,
+    planner: QueryPlanner,
+    oracles: Vec<Box<dyn ConditionOracle + 'a>>,
 }
 
-impl<'o, 'a> SequentialEngine<'o, 'a> {
-    pub fn new(
-        system: &'a System,
-        oracle: &'o mut (dyn ConditionOracle + 'a),
-        planner: &'o mut QueryPlanner,
-        observables: Vec<VarId>,
-        k: usize,
-        max_spurious_rounds: usize,
-    ) -> Self {
-        SequentialEngine {
+impl<'a> ConditionChecker<'a> {
+    /// An engine with a cold planner and no oracles yet, checking
+    /// conditions as `config` describes.
+    pub fn new(system: &'a System, config: &ActiveLearnerConfig) -> Self {
+        ConditionChecker {
             system,
-            oracle,
-            planner,
-            observables,
-            k,
-            max_spurious_rounds,
+            observables: observables_of(system, config),
+            k: config.k,
+            max_spurious_rounds: config.max_spurious_rounds,
+            workers: config.parallel.workers.max(1),
+            oracle_config: config.oracle,
+            planner: QueryPlanner::new(config.oracle.verdict_cache),
+            oracles: Vec::new(),
         }
     }
-}
 
-impl ConditionEngine for SequentialEngine<'_, '_> {
-    fn evaluate(&mut self, conditions: &[Condition]) -> ConditionEvaluation {
+    /// The system under check.
+    pub fn system(&self) -> &'a System {
+        self.system
+    }
+
+    /// The observables the conditions' state formulas range over.
+    pub fn observables(&self) -> &[VarId] {
+        &self.observables
+    }
+
+    /// Checker work accumulated by every oracle so far.
+    pub fn checker_stats(&self) -> CheckerStats {
+        self.oracles
+            .iter()
+            .fold(CheckerStats::default(), |total, oracle| {
+                total + oracle.stats()
+            })
+    }
+
+    /// Verdict-cache counters accumulated so far.
+    pub fn cache_stats(&self) -> VerdictCacheStats {
+        self.planner.stats()
+    }
+
+    /// The oracles built so far, one per worker once any work was solved.
+    #[cfg(test)]
+    pub fn oracles(&self) -> &[Box<dyn ConditionOracle + 'a>] {
+        &self.oracles
+    }
+
+    /// Evaluates one candidate's condition set: cached outcomes are
+    /// replayed, the rest are solved on the oracles.
+    pub fn evaluate(&mut self, conditions: &[Condition]) -> ConditionEvaluation {
         let mut plan = self.planner.plan(conditions);
-        for (index, key) in std::mem::take(&mut plan.pending) {
-            let outcome = evaluate_one_condition(
-                &mut *self.oracle,
-                self.system.vars(),
-                &conditions[index],
-                &self.observables,
-                self.k,
-                self.max_spurious_rounds,
-            );
+        let pending = std::mem::take(&mut plan.pending);
+        if pending.is_empty() {
+            return finish_evaluation(conditions, plan);
+        }
+        while self.oracles.len() < self.workers {
+            self.oracles
+                .push(build_oracle(self.system, &self.oracle_config));
+        }
+        let work: Vec<&Condition> = pending
+            .iter()
+            .map(|(index, _)| &conditions[*index])
+            .collect();
+        let outcomes = self.solve(&work);
+        for ((index, key), outcome) in pending.into_iter().zip(outcomes) {
             self.planner.record(key, &outcome);
             plan.resolve(index, outcome);
         }
         finish_evaluation(conditions, plan)
     }
 
-    fn finish(self) -> EngineStats {
-        EngineStats {
-            checker: self.oracle.stats(),
-            cache: self.planner.stats(),
+    /// Solves `work` on the oracles, returning the outcomes in `work` order.
+    fn solve(&mut self, work: &[&Condition]) -> Vec<ConditionOutcome> {
+        let (vars, observables) = (self.system.vars(), &self.observables);
+        let (k, rounds) = (self.k, self.max_spurious_rounds);
+        let solve_one = |oracle: &mut Box<dyn ConditionOracle + 'a>, condition: &Condition| {
+            evaluate_one_condition(&mut **oracle, vars, condition, observables, k, rounds)
+        };
+        if let [oracle] = self.oracles.as_mut_slice() {
+            return work.iter().map(|c| solve_one(oracle, c)).collect();
         }
-    }
-}
-
-/// One unit of work: the condition's position in the extracted set plus the
-/// condition itself.
-type WorkItem = (usize, Condition);
-
-/// A message from a worker to the merge loop.
-enum PoolMessage {
-    /// One condition's outcome, tagged with its position.
-    Outcome(usize, ConditionOutcome),
-    /// The sending worker is unwinding from a panic.
-    Panicked,
-}
-
-/// Sends [`PoolMessage::Panicked`] when dropped during a panic unwind, so a
-/// dying worker fails the run loudly: without this, the merge loop would
-/// block forever on a result that will never arrive (the surviving workers
-/// keep the result channel open).
-struct PanicNotifier {
-    result_tx: mpsc::Sender<PoolMessage>,
-}
-
-impl Drop for PanicNotifier {
-    fn drop(&mut self) {
-        if thread::panicking() {
-            let _ = self.result_tx.send(PoolMessage::Panicked);
-        }
-    }
-}
-
-/// The parallel engine: a pool of scoped worker threads, each owning its own
-/// oracle stack with persistent sessions that survive across iterations.
-/// Work items are pulled from a shared queue in planner priority order; the
-/// planner itself (cache + failure history) lives on the merge side, so its
-/// state evolves identically for every worker count.
-pub(crate) struct WorkerPool<'scope, 'p> {
-    work_tx: Option<mpsc::Sender<WorkItem>>,
-    result_rx: mpsc::Receiver<PoolMessage>,
-    handles: Vec<thread::ScopedJoinHandle<'scope, CheckerStats>>,
-    planner: &'p mut QueryPlanner,
-}
-
-impl<'scope, 'p> WorkerPool<'scope, 'p> {
-    /// Spawns `workers` threads on `scope`, each building its own oracle
-    /// stack for `system`. The planner is borrowed from the caller so the
-    /// verdict cache can outlive the pool (worker oracles are rebuilt per
-    /// refinement inside their `thread::scope`, but cached verdicts — living
-    /// on the merge side — persist).
-    #[allow(clippy::too_many_arguments)] // internal seam; its caller is `refine_store`
-    pub fn spawn<'env: 'scope>(
-        scope: &'scope thread::Scope<'scope, 'env>,
-        system: &'env System,
-        observables: Vec<VarId>,
-        workers: usize,
-        k: usize,
-        max_spurious_rounds: usize,
-        oracle: &OracleConfig,
-        planner: &'p mut QueryPlanner,
-    ) -> Self {
-        let (work_tx, work_rx) = mpsc::channel::<WorkItem>();
-        let work_rx = Arc::new(Mutex::new(work_rx));
-        let (result_tx, result_rx) = mpsc::channel();
-        let oracle = *oracle;
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let work_rx = Arc::clone(&work_rx);
-            let result_tx = result_tx.clone();
-            let observables = observables.clone();
-            handles.push(scope.spawn(move || {
-                let _notifier = PanicNotifier {
-                    result_tx: result_tx.clone(),
-                };
-                let mut oracle = build_oracle(system, &oracle);
-                let vars = system.vars();
-                loop {
-                    // Hold the queue lock only for the dequeue itself; the
-                    // expensive solving below runs unlocked.
-                    let item = match work_rx.lock().expect("queue lock poisoned").recv() {
-                        Ok(item) => item,
-                        Err(_) => break,
-                    };
-                    let (index, condition) = item;
-                    let outcome = evaluate_one_condition(
-                        &mut *oracle,
-                        vars,
-                        &condition,
-                        &observables,
-                        k,
-                        max_spurious_rounds,
-                    );
-                    if result_tx
-                        .send(PoolMessage::Outcome(index, outcome))
-                        .is_err()
-                    {
-                        break;
-                    }
-                }
-                oracle.stats()
-            }));
-        }
-        WorkerPool {
-            work_tx: Some(work_tx),
-            result_rx,
-            handles,
-            planner,
-        }
-    }
-}
-
-impl ConditionEngine for WorkerPool<'_, '_> {
-    fn evaluate(&mut self, conditions: &[Condition]) -> ConditionEvaluation {
-        let mut plan = self.planner.plan(conditions);
-        let pending = std::mem::take(&mut plan.pending);
-        let work_tx = self.work_tx.as_ref().expect("pool already finished");
-        for (index, _) in &pending {
-            work_tx
-                .send((*index, conditions[*index].clone()))
-                .expect("a worker thread panicked");
-        }
-        let mut keys: HashMap<usize, ConditionKey> = pending.into_iter().collect();
-        for _ in 0..keys.len() {
-            match self
-                .result_rx
-                .recv()
-                .expect("every condition-checking worker exited before finishing its work")
-            {
-                PoolMessage::Outcome(index, outcome) => {
-                    let key = keys.remove(&index).expect("outcome for an unplanned index");
-                    self.planner.record(key, &outcome);
-                    plan.resolve(index, outcome);
-                }
-                PoolMessage::Panicked => {
+        let next = AtomicUsize::new(0);
+        let mut outcomes: Vec<Option<ConditionOutcome>> = vec![None; work.len()];
+        thread::scope(|scope| {
+            let handles: Vec<_> = self
+                .oracles
+                .iter_mut()
+                .take(work.len())
+                .map(|oracle| {
+                    let (next, solve_one) = (&next, &solve_one);
+                    scope.spawn(move || {
+                        let mut solved = Vec::new();
+                        loop {
+                            let slot = next.fetch_add(1, Ordering::Relaxed);
+                            let Some(condition) = work.get(slot) else {
+                                return solved;
+                            };
+                            solved.push((slot, solve_one(oracle, condition)));
+                        }
+                    })
+                })
+                .collect();
+            for handle in handles {
+                let solved = handle.join().unwrap_or_else(|_| {
                     panic!("a condition-checking worker panicked; aborting the run")
+                });
+                for (slot, outcome) in solved {
+                    outcomes[slot] = Some(outcome);
                 }
             }
-        }
-        finish_evaluation(conditions, plan)
-    }
-
-    fn finish(mut self) -> EngineStats {
-        // Closing the queue lets every worker drain out and return its stats.
-        drop(self.work_tx.take());
-        let mut total = CheckerStats::default();
-        for handle in self.handles {
-            total += handle.join().expect("worker thread panicked");
-        }
-        EngineStats {
-            checker: total,
-            cache: self.planner.stats(),
-        }
+        });
+        outcomes
+            .into_iter()
+            .map(|o| o.expect("every pending condition was solved"))
+            .collect()
     }
 }
 
@@ -820,41 +735,36 @@ mod tests {
         }
     }
 
-    /// The owned halves a [`SequentialEngine`] borrows — what a batch run
-    /// builds fresh and a resident session keeps warm.
-    fn engine_parts<'a>(
-        system: &'a System,
-        config: &OracleConfig,
-    ) -> (Box<dyn ConditionOracle + 'a>, QueryPlanner) {
-        (
-            build_oracle(system, config),
-            QueryPlanner::new(config.verdict_cache),
-        )
+    /// An engine with the shape these tests use: every variable observable
+    /// and at most 10 spurious rounds per condition.
+    fn checker(
+        system: &System,
+        oracle: OracleConfig,
+        workers: usize,
+        k: usize,
+    ) -> ConditionChecker<'_> {
+        let config = ActiveLearnerConfig {
+            observables: None,
+            k,
+            max_spurious_rounds: 10,
+            parallel: ParallelConfig::with_workers(workers),
+            oracle,
+            ..ActiveLearnerConfig::default()
+        };
+        ConditionChecker::new(system, &config)
     }
 
     #[test]
     #[should_panic(expected = "condition-checking worker panicked")]
     fn a_panicking_worker_fails_the_run_instead_of_hanging() {
         // k = 0 trips the checker's bound assertion on the first violated
-        // non-initial condition, panicking inside a worker. The merge loop
-        // must surface that as a panic of its own, not block forever waiting
-        // for an outcome that will never arrive.
+        // non-initial condition, panicking inside a worker thread. Joining
+        // that worker must surface the panic as one of the engine's own, not
+        // block forever waiting for an outcome that will never arrive.
         let system = toggle_system();
         let condition = state_condition(0, Expr::true_(), vec![Expr::false_()]);
-        let mut planner = QueryPlanner::new(true);
-        thread::scope(|scope| {
-            let mut pool = WorkerPool::spawn(
-                scope,
-                &system,
-                system.all_vars(),
-                2,
-                0,
-                10,
-                &OracleConfig::default(),
-                &mut planner,
-            );
-            let _ = pool.evaluate(std::slice::from_ref(&condition));
-        });
+        let mut engine = checker(&system, OracleConfig::default(), 2, 0);
+        let _ = engine.evaluate(std::slice::from_ref(&condition));
     }
 
     #[test]
@@ -927,15 +837,7 @@ mod tests {
         let system = toggle_system();
         let s = system.vars().lookup("s").unwrap();
         let se = system.var(s);
-        let (mut oracle, mut planner) = engine_parts(&system, &OracleConfig::default());
-        let mut engine = SequentialEngine::new(
-            &system,
-            &mut *oracle,
-            &mut planner,
-            system.all_vars(),
-            4,
-            10,
-        );
+        let mut engine = checker(&system, OracleConfig::default(), 1, 4);
 
         // Iteration 1: both conditions hold.
         let unchanged = state_condition(0, se.clone(), vec![Expr::true_()]);
@@ -959,10 +861,10 @@ mod tests {
         );
         assert_eq!(second.held, 1);
 
-        let stats = engine.finish();
-        assert_eq!(stats.cache.hits, 1);
-        assert_eq!(stats.cache.misses, 3);
-        assert_eq!(stats.cache.entries, 3);
+        let cache = engine.cache_stats();
+        assert_eq!(cache.hits, 1);
+        assert_eq!(cache.misses, 3);
+        assert_eq!(cache.entries, 3);
     }
 
     /// The canonical-key pin of the interner PR: conditions whose predicates
@@ -977,15 +879,7 @@ mod tests {
         let system = toggle_system();
         let s = system.vars().lookup("s").unwrap();
         let se = system.var(s);
-        let (mut oracle, mut planner) = engine_parts(&system, &OracleConfig::default());
-        let mut engine = SequentialEngine::new(
-            &system,
-            &mut *oracle,
-            &mut planner,
-            system.all_vars(),
-            4,
-            10,
-        );
+        let mut engine = checker(&system, OracleConfig::default(), 1, 4);
 
         let original = state_condition(0, se.clone(), vec![se.clone(), se.not()]);
         let first = engine.evaluate(std::slice::from_ref(&original));
@@ -1008,9 +902,9 @@ mod tests {
         assert_eq!(second.solved, 0);
         assert_eq!(second.held, first.held);
 
-        let stats = engine.finish();
-        assert_eq!((stats.cache.hits, stats.cache.misses), (1, 1));
-        assert_eq!(stats.cache.entries, 1);
+        let cache = engine.cache_stats();
+        assert_eq!((cache.hits, cache.misses), (1, 1));
+        assert_eq!(cache.entries, 1);
     }
 
     /// Semantic keying also *merges*: a condition re-extracted under a
@@ -1021,15 +915,7 @@ mod tests {
         let system = toggle_system();
         let s = system.vars().lookup("s").unwrap();
         let se = system.var(s);
-        let (mut oracle, mut planner) = engine_parts(&system, &OracleConfig::default());
-        let mut engine = SequentialEngine::new(
-            &system,
-            &mut *oracle,
-            &mut planner,
-            system.all_vars(),
-            4,
-            10,
-        );
+        let mut engine = checker(&system, OracleConfig::default(), 1, 4);
         let at_state_0 = state_condition(0, se.clone(), vec![Expr::true_()]);
         let at_state_7 = state_condition(7, se, vec![Expr::true_()]);
         let first = engine.evaluate(std::slice::from_ref(&at_state_0));
@@ -1051,29 +937,12 @@ mod tests {
             state_condition(1, se.clone(), vec![se.not()]),
         ];
 
-        let (mut cached_oracle, mut cached_planner) =
-            engine_parts(&system, &OracleConfig::default());
-        let mut cached = SequentialEngine::new(
-            &system,
-            &mut *cached_oracle,
-            &mut cached_planner,
-            system.all_vars(),
-            4,
-            10,
-        );
+        let mut cached = checker(&system, OracleConfig::default(), 1, 4);
         let uncached_config = OracleConfig {
             verdict_cache: false,
             ..OracleConfig::default()
         };
-        let (mut uncached_oracle, mut uncached_planner) = engine_parts(&system, &uncached_config);
-        let mut uncached = SequentialEngine::new(
-            &system,
-            &mut *uncached_oracle,
-            &mut uncached_planner,
-            system.all_vars(),
-            4,
-            10,
-        );
+        let mut uncached = checker(&system, uncached_config, 1, 4);
 
         for round in 0..3 {
             let a = cached.evaluate(&conditions);
@@ -1092,14 +961,12 @@ mod tests {
                 assert_eq!(b.cache_hits, 0);
             }
         }
-        let cached_stats = cached.finish();
-        let uncached_stats = uncached.finish();
         // After the first round every cached evaluation is free.
-        assert_eq!(cached_stats.cache.hits, 2 * conditions.len() as u64);
-        assert_eq!(uncached_stats.cache.hits, 0);
-        assert_eq!(uncached_stats.cache.entries, 0);
+        assert_eq!(cached.cache_stats().hits, 2 * conditions.len() as u64);
+        assert_eq!(uncached.cache_stats().hits, 0);
+        assert_eq!(uncached.cache_stats().entries, 0);
         assert!(
-            cached_stats.checker.sat_queries < uncached_stats.checker.sat_queries,
+            cached.checker_stats().sat_queries < uncached.checker_stats().sat_queries,
             "the cache must actually skip solver work"
         );
     }
@@ -1117,41 +984,24 @@ mod tests {
             state_condition(1, se.clone(), vec![Expr::true_()]),
             state_condition(2, se.clone(), vec![Expr::true_()]),
         ];
-        let (mut cached_oracle, mut cached_planner) =
-            engine_parts(&system, &OracleConfig::default());
-        let mut cached = SequentialEngine::new(
-            &system,
-            &mut *cached_oracle,
-            &mut cached_planner,
-            system.all_vars(),
-            4,
-            10,
-        );
+        let mut cached = checker(&system, OracleConfig::default(), 1, 4);
         let evaluation = cached.evaluate(&batch);
         assert_eq!(evaluation.held, 3, "duplicates must still get an outcome");
         assert_eq!(evaluation.solved, 1);
         assert_eq!(evaluation.cache_hits, 2);
-        let stats = cached.finish();
-        assert_eq!(stats.checker.condition_checks, 1);
-        assert_eq!((stats.cache.hits, stats.cache.misses), (2, 1));
+        assert_eq!(cached.checker_stats().condition_checks, 1);
+        let cache = cached.cache_stats();
+        assert_eq!((cache.hits, cache.misses), (2, 1));
 
         let uncached_config = OracleConfig {
             verdict_cache: false,
             ..OracleConfig::default()
         };
-        let (mut uncached_oracle, mut uncached_planner) = engine_parts(&system, &uncached_config);
-        let mut uncached = SequentialEngine::new(
-            &system,
-            &mut *uncached_oracle,
-            &mut uncached_planner,
-            system.all_vars(),
-            4,
-            10,
-        );
+        let mut uncached = checker(&system, uncached_config, 1, 4);
         let evaluation = uncached.evaluate(&batch);
         assert_eq!(evaluation.held, 3);
         assert_eq!(evaluation.solved, 3);
-        assert_eq!(uncached.finish().checker.condition_checks, 3);
+        assert_eq!(uncached.checker_stats().condition_checks, 3);
     }
 
     /// The failure history orders pending work: an assumption that produced

@@ -1,12 +1,8 @@
 //! The active model-learning loop (Fig. 1 of the paper).
 
 use crate::conditions::{extract_conditions, AssumptionMemo, Condition, ConditionKind};
-use crate::engine::{
-    build_oracle, ConditionEngine, OracleConfig, ParallelConfig, QueryPlanner, SequentialEngine,
-    WorkerPool,
-};
+use crate::engine::{ConditionChecker, OracleConfig, ParallelConfig, VerdictCacheStats};
 use crate::report::{Invariant, IterationStats, RunReport};
-use amle_checker::ConditionOracle;
 use amle_expr::{Valuation, VarId};
 use amle_learner::{LearnError, ModelLearner};
 use amle_system::{Simulator, System, Trace, TraceId, TraceSet, TraceStore};
@@ -15,7 +11,6 @@ use rand::SeedableRng;
 use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
-use std::thread;
 use std::time::{Duration, Instant};
 
 /// Configuration of an active-learning run.
@@ -284,9 +279,10 @@ impl<'a, L: ModelLearner> ActiveLearner<'a, L> {
 
     /// Runs the loop starting from a user-supplied initial trace set.
     ///
-    /// When `config.parallel.workers > 1` the per-iteration condition checks
-    /// are fanned out over that many scoped worker threads, each owning its
-    /// own oracle stack with persistent incremental sessions; results are
+    /// The run builds one condition-checking engine whose per-worker oracle
+    /// stacks keep their incremental solver sessions for the whole run. With
+    /// `config.parallel.workers > 1` each iteration's condition checks are
+    /// fanned out over that many scoped threads, one per oracle; results are
     /// merged in condition order and the report is byte-identical to a
     /// sequential run (see [`crate::ParallelConfig`]).
     ///
@@ -296,15 +292,13 @@ impl<'a, L: ModelLearner> ActiveLearner<'a, L> {
     pub fn run_with_traces(&mut self, traces: TraceSet) -> Result<RunReport, ActiveLearnError> {
         let mut store = TraceStore::from_trace_set(&traces);
         drop(traces);
-        // A batch run builds the engine's owned halves fresh and drops them
-        // with the report; a resident `Session` keeps them warm.
+        // A batch run builds a fresh engine and drops it with the report; a
+        // resident `Session` keeps its engine warm.
         refine_store(
-            self.system,
             &mut self.learner,
-            &self.config,
+            self.config.max_iterations,
             &mut store,
-            &mut None,
-            &mut QueryPlanner::new(self.config.oracle.verdict_cache),
+            &mut ConditionChecker::new(self.system, &self.config),
         )
     }
 }
@@ -317,99 +311,37 @@ pub(crate) fn observables_of(system: &System, config: &ActiveLearnerConfig) -> V
         .unwrap_or_else(|| system.all_vars())
 }
 
-/// Runs the refinement loop over `store` on the engine `config` selects:
-/// with one worker a [`SequentialEngine`] over the oracle in `oracle`
-/// (built on first use and kept there), otherwise a [`WorkerPool`] whose
-/// workers build their own oracles for this call. The planner's verdict
-/// cache serves both.
+/// The iteration loop of Fig. 1 over an **externally owned** trace store
+/// and condition-checking engine.
 ///
-/// Both front doors run through this function: the batch
-/// [`ActiveLearner`] passes an empty oracle slot and a fresh planner, a
-/// resident [`crate::Session`] its warm ones. The report's checker
-/// statistics cover exactly this call.
-pub(crate) fn refine_store<'a, L: ModelLearner>(
-    system: &'a System,
-    learner: &mut L,
-    config: &ActiveLearnerConfig,
-    store: &mut TraceStore,
-    oracle: &mut Option<Box<dyn ConditionOracle + 'a>>,
-    planner: &mut QueryPlanner,
-) -> Result<RunReport, ActiveLearnError> {
-    let observables = observables_of(system, config);
-    let workers = config.parallel.workers.max(1);
-    let (k, max_spurious_rounds) = (config.k, config.max_spurious_rounds);
-    if workers == 1 {
-        let oracle = oracle.get_or_insert_with(|| build_oracle(system, &config.oracle));
-        // A warm oracle accumulates across calls; snapshot so the report
-        // covers exactly this one.
-        let checker_before = oracle.stats();
-        let engine = SequentialEngine::new(
-            system,
-            &mut **oracle,
-            planner,
-            observables.clone(),
-            k,
-            max_spurious_rounds,
-        );
-        let mut report = run_refinement(
-            system,
-            learner,
-            &observables,
-            config.max_iterations,
-            store,
-            engine,
-        )?;
-        report.checker_stats = report.checker_stats.since(&checker_before);
-        Ok(report)
-    } else {
-        thread::scope(|scope| {
-            let engine = WorkerPool::spawn(
-                scope,
-                system,
-                observables.clone(),
-                workers,
-                k,
-                max_spurious_rounds,
-                &config.oracle,
-                planner,
-            );
-            run_refinement(
-                system,
-                learner,
-                &observables,
-                config.max_iterations,
-                store,
-                engine,
-            )
-        })
-    }
-}
-
-/// The iteration loop of Fig. 1, generic over the condition-checking engine
-/// and running over an **externally owned** trace store (see
-/// [`refine_store`], which picks the engine).
+/// Both front doors run through this function: the batch [`ActiveLearner`]
+/// passes a fresh store and engine, a resident [`crate::Session`] its warm
+/// ones. The engine accumulates across calls, so the report's checker and
+/// verdict-cache statistics are before-and-after deltas covering exactly
+/// this call.
 ///
 /// The trace set lives in an interned [`TraceStore`]: the learner consumes
 /// it through [`ModelLearner::learn_from_store`] (incremental word
 /// conversion and encoding), and counterexamples are spliced in via
 /// [`splice_counterexample`] (O(1) shared-prefix splices). Both paths are
 /// pinned byte-identical to the flat-trace reference semantics.
-pub(crate) fn run_refinement<L: ModelLearner, E: ConditionEngine>(
-    system: &System,
+pub(crate) fn refine_store<L: ModelLearner>(
     learner: &mut L,
-    observables: &[VarId],
     max_iterations: usize,
     store: &mut TraceStore,
-    mut engine: E,
+    engine: &mut ConditionChecker<'_>,
 ) -> Result<RunReport, ActiveLearnError> {
+    let system = engine.system();
     let start = Instant::now();
     let mut learn_time = Duration::ZERO;
     let mut check_time = Duration::ZERO;
     let mut iteration_stats = Vec::new();
-    // The learner accumulates solver and word statistics across its
+    // The engine and the learner accumulate statistics across their
     // lifetime; snapshot them so the report attributes only this run's
     // work. The expression interner's counters are process-global, so a
     // delta snapshot bounds them to this run the same way.
+    let checker_start = engine.checker_stats();
+    let cache_start = engine.cache_stats();
     let learner_stats_start = learner.solver_stats();
     let word_stats_start = learner.word_stats();
     let interner_start = amle_expr::InternerStats::snapshot();
@@ -426,7 +358,7 @@ pub(crate) fn run_refinement<L: ModelLearner, E: ConditionEngine>(
         // 1. Learn a candidate model from the current trace store.
         let learn_start = Instant::now();
         let words_before = learner.word_stats();
-        let candidate = learner.learn_from_store(system.vars(), observables, store)?;
+        let candidate = learner.learn_from_store(system.vars(), engine.observables(), store)?;
         let iteration_words = learner.word_stats().since(&words_before);
         let iteration_learn_time = learn_start.elapsed();
         learn_time += iteration_learn_time;
@@ -487,7 +419,7 @@ pub(crate) fn run_refinement<L: ModelLearner, E: ConditionEngine>(
         })
         .collect();
 
-    let engine_stats = engine.finish();
+    let cache = engine.cache_stats();
     Ok(RunReport {
         abstraction,
         alpha,
@@ -499,8 +431,13 @@ pub(crate) fn run_refinement<L: ModelLearner, E: ConditionEngine>(
         total_time: start.elapsed(),
         learn_time,
         check_time,
-        checker_stats: engine_stats.checker,
-        verdict_cache: engine_stats.cache,
+        checker_stats: engine.checker_stats().since(&checker_start),
+        // `entries` is a gauge and passes through.
+        verdict_cache: VerdictCacheStats {
+            hits: cache.hits - cache_start.hits,
+            misses: cache.misses - cache_start.misses,
+            entries: cache.entries,
+        },
         learner_solver_stats: learner.solver_stats().since(&learner_stats_start),
         word_stats: learner.word_stats().since(&word_stats_start),
         trace_store: store.stats(),

@@ -11,9 +11,9 @@
 //! * [`Session::ingest`] folds a batch of traces into the shared store
 //!   (interned, deduplicated, insertion order preserved);
 //! * [`Session::refine`] runs the paper's Fig. 1 refinement loop over the
-//!   current store, reusing the warm oracle (sequential engine) and the
-//!   verdict cache (every engine), and returns a [`RunReport`] attributing
-//!   exactly this call's work;
+//!   current store, reusing the warm per-worker oracles and the verdict
+//!   cache, and returns a [`RunReport`] attributing exactly this call's
+//!   work;
 //! * [`Session::stats`] exposes the cumulative counters a resident process
 //!   wants to watch.
 //!
@@ -24,10 +24,10 @@
 //! engine and cache setting. The integration tests of `amle-serve` pin this
 //! differentially over a TCP boundary.
 
-use crate::engine::{QueryPlanner, VerdictCacheStats};
-use crate::learner_loop::{observables_of, refine_store, ActiveLearnError, ActiveLearnerConfig};
+use crate::engine::{ConditionChecker, VerdictCacheStats};
+use crate::learner_loop::{refine_store, ActiveLearnError, ActiveLearnerConfig};
 use crate::report::RunReport;
-use amle_checker::{CheckerStats, ConditionOracle};
+use amle_checker::CheckerStats;
 use amle_expr::VarId;
 use amle_learner::ModelLearner;
 use amle_system::{System, Trace, TraceStore, TraceStoreStats};
@@ -64,12 +64,9 @@ pub struct SessionStats {
 /// keeps them warm:
 ///
 /// * the interned [`TraceStore`] the traces accumulate in;
-/// * the query planner (verdict cache + failure history), persisted for
-///   every engine configuration;
-/// * in the sequential configuration, the [`ConditionOracle`] with its
-///   incremental solver sessions (with `workers > 1` the per-worker oracles
-///   are rebuilt per refinement inside their `thread::scope`, exactly like
-///   the batch path — the cache still persists on the merge side).
+/// * the condition-checking engine: its query planner (verdict cache +
+///   failure history) and one oracle per worker, each with its incremental
+///   solver sessions — for every worker count.
 ///
 /// `initial_traces`, `trace_length` and `seed` in the config are ignored:
 /// sessions never generate traces, they are fed them.
@@ -110,15 +107,10 @@ pub struct SessionStats {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub struct Session<'a, L: ModelLearner> {
-    system: &'a System,
     learner: L,
     config: ActiveLearnerConfig,
     store: TraceStore,
-    planner: QueryPlanner,
-    /// The warm sequential oracle, built lazily on the first sequential
-    /// refinement (a parallel-only session never needs it).
-    oracle: Option<Box<dyn ConditionOracle + 'a>>,
-    cache_total: VerdictCacheStats,
+    engine: ConditionChecker<'a>,
     checker_total: CheckerStats,
     stats: SessionStats,
 }
@@ -126,15 +118,11 @@ pub struct Session<'a, L: ModelLearner> {
 impl<'a, L: ModelLearner> Session<'a, L> {
     /// Creates an empty session for `system`.
     pub fn new(system: &'a System, learner: L, config: ActiveLearnerConfig) -> Self {
-        let planner = QueryPlanner::new(config.oracle.verdict_cache);
         Session {
-            system,
             learner,
+            engine: ConditionChecker::new(system, &config),
             config,
             store: TraceStore::new(),
-            planner,
-            oracle: None,
-            cache_total: VerdictCacheStats::default(),
             checker_total: CheckerStats::default(),
             stats: SessionStats::default(),
         }
@@ -142,7 +130,7 @@ impl<'a, L: ModelLearner> Session<'a, L> {
 
     /// The system this session learns.
     pub fn system(&self) -> &'a System {
-        self.system
+        self.engine.system()
     }
 
     /// The session's configuration.
@@ -152,7 +140,7 @@ impl<'a, L: ModelLearner> Session<'a, L> {
 
     /// The observable variables of this session's abstraction.
     pub fn observables(&self) -> Vec<VarId> {
-        observables_of(self.system, &self.config)
+        self.engine.observables().to_vec()
     }
 
     /// The interned store the ingested (and spliced) traces live in.
@@ -204,24 +192,12 @@ impl<'a, L: ModelLearner> Session<'a, L> {
                 reason: "refine requires at least one ingested trace".to_string(),
             });
         }
-        let mut report = refine_store(
-            self.system,
+        let report = refine_store(
             &mut self.learner,
-            &self.config,
+            self.config.max_iterations,
             &mut self.store,
-            &mut self.oracle,
-            &mut self.planner,
+            &mut self.engine,
         )?;
-
-        // The planner persists across refinements; the report carries this
-        // call's delta (`entries` is a gauge and passes through).
-        let cumulative = self.planner.stats();
-        report.verdict_cache = VerdictCacheStats {
-            hits: cumulative.hits - self.cache_total.hits,
-            misses: cumulative.misses - self.cache_total.misses,
-            entries: cumulative.entries,
-        };
-        self.cache_total = cumulative;
         self.checker_total += report.checker_stats;
         self.stats.refinements += 1;
         Ok(report)
@@ -231,7 +207,7 @@ impl<'a, L: ModelLearner> Session<'a, L> {
     pub fn stats(&self) -> SessionStats {
         SessionStats {
             store: self.store.stats(),
-            verdict_cache: self.cache_total,
+            verdict_cache: self.engine.cache_stats(),
             checker: self.checker_total,
             ..self.stats
         }
@@ -328,6 +304,31 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Warm worker oracles: a multi-worker session keeps the same oracles
+    /// across refinements instead of rebuilding them, so their accumulated
+    /// work covers every refinement, not just the last one. (The cache is
+    /// off so the second refinement solves again.)
+    #[test]
+    fn worker_oracles_persist_across_refinements() {
+        let system = cooler();
+        let mut config = session_config(3);
+        config.oracle.verdict_cache = false;
+        let mut session = Session::new(&system, HistoryLearner::default(), config);
+        session.ingest(sample_traces(&system, 15, 15, 0xA1));
+        let first = session.refine().unwrap();
+        let second = session.refine().unwrap();
+        assert!(second.checker_stats.sat_queries > 0);
+
+        let oracles = session.engine.oracles();
+        assert_eq!(oracles.len(), 3);
+        let held: u64 = oracles.iter().map(|o| o.stats().sat_queries).sum();
+        assert_eq!(
+            held,
+            first.checker_stats.sat_queries + second.checker_stats.sat_queries,
+            "the oracles were rebuilt between refinements"
+        );
     }
 
     #[test]
