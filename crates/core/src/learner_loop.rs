@@ -5,10 +5,9 @@ use crate::engine::{ConditionChecker, OracleConfig, ParallelConfig, VerdictCache
 use crate::report::{Invariant, IterationStats, RunReport};
 use amle_expr::{Valuation, VarId};
 use amle_learner::{LearnError, ModelLearner};
-use amle_system::{Simulator, System, Trace, TraceId, TraceSet, TraceStore};
+use amle_system::{Simulator, System, Trace, TraceSet, TraceStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -142,16 +141,17 @@ pub(crate) fn counterexample_traces(
 /// trace stored before the call, returning the number of *new* traces this
 /// inserted.
 ///
-/// Per parent trace this is O(trace length) pointer-walking (the id path is
-/// materialised once into a reused buffer) plus a memoised
-/// per-distinct-observation assumption evaluation — no observation vectors
-/// are cloned and no O(|T|) duplicate scans run. Parent traces that
-/// share the same qualifying prefix *segment* would all produce the same
-/// spliced trace, so the splice is emitted once per distinct segment
-/// (fixing the duplicate-splice waste of the flat path, which built each
-/// duplicate candidate in full before the insert rejected it). The set of
-/// traces inserted — and therefore everything downstream — is identical to
-/// the reference [`counterexample_traces`] path.
+/// The prefixes come from one pruned walk of the segment trie
+/// ([`TraceStore::first_match_prefixes`]): it stops at the first
+/// observation satisfying the assumption on each path, so the cost is the
+/// segments that precede a first match plus a sort of the distinct
+/// prefixes, not the summed length of every stored trace. The assumption
+/// is evaluated at most once per distinct observation. Parent traces that
+/// share a qualifying prefix *segment* would all produce the same spliced
+/// trace, so each distinct segment is spliced once, in the order of the
+/// first trace that yields it — exactly the order in which the reference
+/// [`counterexample_traces`] path first produces each trace, so the traces
+/// inserted, their ids and everything downstream are identical.
 pub(crate) fn splice_counterexample(
     store: &mut TraceStore,
     condition: &Condition,
@@ -161,37 +161,19 @@ pub(crate) fn splice_counterexample(
     if condition.kind == ConditionKind::Initial {
         return usize::from(store.insert(std::slice::from_ref(to)).is_some());
     }
-    // Snapshot the trace list: traces spliced in by this call (or by earlier
-    // counterexamples of the same iteration, which *are* visible) must not
-    // be re-scanned mid-call.
-    let parents: Vec<TraceId> = store.traces().collect();
+    // Traces spliced in by earlier counterexamples of the same iteration are
+    // visible; the ones this call adds are not.
     let mut memo = AssumptionMemo::new(&condition.assumption, store.num_observations());
-    let mut seen_prefixes = HashSet::new();
-    let mut buf = Vec::new();
-    let mut inserted = 0;
-    let mut matched = false;
-    for trace in parents {
-        store.obs_ids_into(trace, &mut buf);
-        let Some(j) = buf
-            .iter()
-            .position(|obs| memo.eval(*obs, store.valuation(*obs)))
-        else {
-            continue;
-        };
-        matched = true;
-        let prefix = store.prefix(trace, j);
-        if !seen_prefixes.insert(prefix) {
-            continue; // an identical splice was already emitted
-        }
-        if store.splice(prefix, from, to).is_some() {
-            inserted += 1;
-        }
-    }
-    if !matched {
+    let prefixes =
+        store.first_match_prefixes(store.len(), |obs| memo.eval(obs, store.valuation(obs)));
+    if prefixes.is_empty() {
         // No trace reaches the assumption: record the bare transition.
-        inserted += usize::from(store.insert(&[from.clone(), to.clone()]).is_some());
+        return usize::from(store.insert(&[from.clone(), to.clone()]).is_some());
     }
-    inserted
+    prefixes
+        .into_iter()
+        .filter(|prefix| store.splice(*prefix, from, to).is_some())
+        .count()
 }
 
 /// The active model-learning algorithm.
@@ -323,8 +305,11 @@ pub(crate) fn observables_of(system: &System, config: &ActiveLearnerConfig) -> V
 /// The trace set lives in an interned [`TraceStore`]: the learner consumes
 /// it through [`ModelLearner::learn_from_store`] (incremental word
 /// conversion and encoding), and counterexamples are spliced in via
-/// [`splice_counterexample`] (O(1) shared-prefix splices). Both paths are
-/// pinned byte-identical to the flat-trace reference semantics.
+/// [`splice_counterexample`]: one pruned walk of the segment trie per
+/// counterexample finds the splice prefixes, and each splice is O(1) on a
+/// shared prefix. Both paths are pinned byte-identical to the flat-trace
+/// reference semantics. The report times each of the three steps (learn,
+/// check, splice) per iteration and in total.
 pub(crate) fn refine_store<L: ModelLearner>(
     learner: &mut L,
     max_iterations: usize,
@@ -335,6 +320,7 @@ pub(crate) fn refine_store<L: ModelLearner>(
     let start = Instant::now();
     let mut learn_time = Duration::ZERO;
     let mut check_time = Duration::ZERO;
+    let mut splice_time = Duration::ZERO;
     let mut iteration_stats = Vec::new();
     // The engine and the learner accumulate statistics across their
     // lifetime; snapshot them so the report attributes only this run's
@@ -373,10 +359,13 @@ pub(crate) fn refine_store<L: ModelLearner>(
         alpha = evaluation.alpha();
 
         // 3. Splice valid counterexamples into new traces.
+        let splice_start = Instant::now();
         let mut new_traces = 0;
         for (condition, from, to) in &evaluation.counterexamples {
             new_traces += splice_counterexample(store, condition, from, to);
         }
+        let iteration_splice_time = splice_start.elapsed();
+        splice_time += iteration_splice_time;
 
         iteration_stats.push(IterationStats {
             iteration,
@@ -390,6 +379,7 @@ pub(crate) fn refine_store<L: ModelLearner>(
             model_transitions: candidate.num_transitions(),
             learn_time: iteration_learn_time,
             check_time: iteration_check_time,
+            splice_time: iteration_splice_time,
             words_encoded: iteration_words.words_encoded,
             words_reused: iteration_words.words_reused,
             cache_hits: evaluation.cache_hits,
@@ -431,6 +421,7 @@ pub(crate) fn refine_store<L: ModelLearner>(
         total_time: start.elapsed(),
         learn_time,
         check_time,
+        splice_time,
         checker_stats: engine.checker_stats().since(&checker_start),
         // `entries` is a gauge and passes through.
         verdict_cache: VerdictCacheStats {
@@ -834,6 +825,109 @@ mod tests {
 
         // And the result matches the reference path exactly.
         assert_splicing_differential(&sys, &traces, &[(condition, from, to)]);
+    }
+
+    /// Many rounds of interleaved counterexamples on one growing store, over
+    /// a store shaped to trip every shortcut of the first-match walk: the
+    /// store path must reproduce the reference's traces, ids and per-call
+    /// counts throughout.
+    #[test]
+    fn store_splicing_matches_reference_over_interleaved_rounds() {
+        let sys = cooler();
+        let temp = sys.vars().lookup("inp_temp").unwrap();
+        let on = sys.vars().lookup("s_on").unwrap();
+        let mk = |t: i64, o: bool| {
+            let mut v = sys.initial_valuation();
+            v.set(temp, Value::Int(t));
+            v.set(on, Value::Bool(o));
+            v
+        };
+        let state = |assumption: Expr| Condition {
+            kind: ConditionKind::State {
+                state: amle_automaton::StateId::from_index(0),
+            },
+            assumption,
+            outgoing: vec![Expr::true_()],
+        };
+        let hot = state(sys.var(temp).ge(&Expr::int_val(100, 8)));
+        let switched_on = state(sys.var(on));
+        let unreachable = state(Expr::false_());
+        let initial = Condition {
+            kind: ConditionKind::Initial,
+            assumption: sys.init_expr(),
+            outgoing: vec![],
+        };
+
+        // Observations are interned in first-use order: q1 < b < a < q2 < c
+        // < d, and `hot` holds exactly on q1 and q2.
+        let (q1, q2) = (mk(100, false), mk(110, false));
+        let (a, b, c, d) = (mk(10, false), mk(20, false), mk(30, false), mk(40, true));
+        let mut traces = TraceSet::new();
+        // t0: the first observation qualifies, so the prefix is the root.
+        traces.insert(Trace::new(vec![q1.clone(), b.clone()]));
+        // t1 and t3 both leave prefix [a] through a qualifying child, and the
+        // children's ObsId order (q1 before q2) is the opposite of their
+        // first-trace order (t1 through q2, t3 through q1). Prefix [a] must
+        // take key t1, before [c, d] from t2.
+        traces.insert(Trace::new(vec![a.clone(), q2.clone(), b.clone()]));
+        traces.insert(Trace::new(vec![c.clone(), d.clone(), q2.clone()]));
+        traces.insert(Trace::new(vec![a.clone(), q1.clone(), c.clone()]));
+        // t4: prefix [b] sorts before [a] and [c, d] by ObsId path but
+        // comes last by first trace, so neither DFS order is the id order.
+        traces.insert(Trace::new(vec![b.clone(), q1.clone()]));
+        // t5, t6: strict prefixes of t1 and t2 (marked internal segments).
+        traces.insert(Trace::new(vec![a.clone(), q2.clone()]));
+        traces.insert(Trace::new(vec![c.clone()]));
+        // t7: never qualifies for `hot`.
+        traces.insert(Trace::new(vec![a.clone(), b.clone(), c.clone()]));
+
+        let mut counterexamples = Vec::new();
+        for round in 0..5i64 {
+            let hot_step = (mk(101 + round, round % 2 == 0), mk(5 + round, false));
+            counterexamples.push((hot.clone(), hot_step.0.clone(), hot_step.1.clone()));
+            counterexamples.push((switched_on.clone(), mk(50 + round, true), mk(60, false)));
+            counterexamples.push((unreachable.clone(), mk(70 + round, false), mk(71, true)));
+            counterexamples.push((initial.clone(), mk(0, false), mk(round, false)));
+            // The same counterexample again: only duplicates, on both paths.
+            counterexamples.push((hot.clone(), hot_step.0, hot_step.1));
+        }
+        assert_splicing_differential(&sys, &traces, &counterexamples);
+
+        // The first `hot` splice lands on root, [a], [c, d], [b], in that
+        // order, as trace ids 8..=11.
+        let mut store = TraceStore::from_trace_set(&traces);
+        let (from, to) = (mk(101, true), mk(5, false));
+        assert_eq!(splice_counterexample(&mut store, &hot, &from, &to), 4);
+        let heads: Vec<Vec<Valuation>> = store
+            .to_trace_set()
+            .iter()
+            .skip(traces.len())
+            .map(|trace| trace.observations()[..trace.len() - 2].to_vec())
+            .collect();
+        assert_eq!(heads, vec![vec![], vec![a], vec![c, d], vec![b]]);
+    }
+
+    #[test]
+    fn splice_time_is_reported_and_within_the_total() {
+        let sys = counter_with_flag();
+        let config = ActiveLearnerConfig {
+            initial_traces: 10,
+            trace_length: 6,
+            k: 20,
+            max_iterations: 30,
+            ..Default::default()
+        };
+        let report = ActiveLearner::new(&sys, HistoryLearner::new(1), config)
+            .run()
+            .unwrap();
+        assert!(
+            report.iteration_stats.iter().any(|s| s.new_traces > 0),
+            "the run must splice counterexamples"
+        );
+        assert!(report.splice_time > Duration::ZERO);
+        assert!(report.learn_time + report.check_time + report.splice_time <= report.total_time);
+        let per_iteration: Duration = report.iteration_stats.iter().map(|s| s.splice_time).sum();
+        assert_eq!(per_iteration, report.splice_time);
     }
 
     #[test]

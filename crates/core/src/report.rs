@@ -57,6 +57,9 @@ pub struct IterationStats {
     pub learn_time: Duration,
     /// Wall-clock time spent in condition checking this iteration.
     pub check_time: Duration,
+    /// Wall-clock time spent splicing this iteration's valid
+    /// counterexamples into the trace store.
+    pub splice_time: Duration,
     /// Abstract words the learner converted and encoded this iteration.
     /// With an incremental learner this stays proportional to the *new*
     /// traces per iteration instead of the full trace count.
@@ -95,6 +98,10 @@ pub struct RunReport {
     pub learn_time: Duration,
     /// Total wall-clock time spent in model checking.
     pub check_time: Duration,
+    /// Total wall-clock time spent splicing counterexamples into the trace
+    /// store. `learn_time + check_time + splice_time <= total_time`; the
+    /// rest is loop bookkeeping and the final report.
+    pub splice_time: Duration,
     /// Model-checker statistics, including the aggregated backend SAT-solver
     /// statistics of the checking phase (`checker_stats.solver`) and the
     /// per-engine query attribution of the oracle portfolio.
@@ -231,7 +238,8 @@ mod tests {
             trace_count: 0,
             total_time: Duration::from_millis(200),
             learn_time: Duration::from_millis(50),
-            check_time: Duration::from_millis(150),
+            check_time: Duration::from_millis(140),
+            splice_time: Duration::from_millis(10),
             checker_stats: CheckerStats::default(),
             verdict_cache: VerdictCacheStats::default(),
             learner_solver_stats: SolverStats::default(),

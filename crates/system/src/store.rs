@@ -20,7 +20,13 @@
 //!   segment chain of that prefix, so a splice records `(prefix segment,
 //!   from, to)` in O(1) instead of cloning the prefix;
 //! * a trace is just a *marked* segment, so structural duplicate detection
-//!   is O(1) segment identity instead of an O(|T|·len) scan.
+//!   is O(1) segment identity instead of an O(|T|·len) scan;
+//! * every segment records its **first trace**, the smallest trace id whose
+//!   path passes through it, so the splicing step finds each
+//!   counterexample's splice prefixes with one pruned root-down walk
+//!   ([`TraceStore::first_match_prefixes`]) instead of materialising every
+//!   stored trace. The index is written once per segment, when the first
+//!   trace through it is marked: amortised O(1) per new segment.
 //!
 //! Determinism: traces are enumerated in insertion order, observation ids
 //! are assigned in interning order, and no iteration order ever depends on
@@ -63,7 +69,8 @@ impl TraceId {
 /// root spells a (possibly empty) observation sequence.
 ///
 /// Segments are created by [`TraceStore::insert`] and
-/// [`TraceStore::splice`], and located by [`TraceStore::prefix`]. Two equal
+/// [`TraceStore::splice`], and located by [`TraceStore::prefix`] and
+/// [`TraceStore::first_match_prefixes`]. Two equal
 /// observation sequences always resolve to the *same* segment, which is
 /// what makes duplicate detection O(1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -85,7 +92,14 @@ struct Segment {
     children: Vec<(u32, u32)>,
     /// The trace id if this segment's sequence has been inserted as a trace.
     trace: Option<u32>,
+    /// The smallest trace id whose path passes through this segment, or
+    /// [`NO_TRACE`] while none does. Set once, by [`TraceStore::mark`];
+    /// fits in the padding after `trace`, so a segment stays 48 bytes.
+    first_trace: u32,
 }
+
+/// [`Segment::first_trace`] of a segment no stored trace passes through.
+const NO_TRACE: u32 = u32::MAX;
 
 /// Aggregate statistics of a [`TraceStore`], surfaced in run reports and the
 /// benchmark tables.
@@ -205,6 +219,7 @@ impl TraceStore {
                 depth: 0,
                 children: Vec::new(),
                 trace: None,
+                first_trace: NO_TRACE,
             }],
             traces: Vec::new(),
             stored_observations: 0,
@@ -274,8 +289,8 @@ impl TraceStore {
     }
 
     /// Writes the observation ids of `trace` into `out` (cleared first), in
-    /// trace order. Using a caller-provided buffer keeps the per-trace scans
-    /// of the splicing loop allocation-free.
+    /// trace order. Using a caller-provided buffer keeps per-trace loops
+    /// (the learners' word conversion) allocation-free.
     pub fn obs_ids_into(&self, trace: TraceId, out: &mut Vec<ObsId>) {
         out.clear();
         let mut segment = self.traces[trace.index()] as usize;
@@ -330,6 +345,7 @@ impl TraceStore {
                     depth,
                     children: Vec::new(),
                     trace: None,
+                    first_trace: NO_TRACE,
                 });
                 self.segments[segment as usize]
                     .children
@@ -341,6 +357,12 @@ impl TraceStore {
 
     /// Marks `segment` as a trace, returning its fresh id, or `None` when the
     /// identical observation sequence is already stored.
+    ///
+    /// Every way a trace enters the store ends here, so this is where the
+    /// first-trace index is kept: the new id is written on the segment and
+    /// its ancestors up to the first one some earlier trace already passes
+    /// through. Ids only grow, so that ancestor and everything above it keep
+    /// their smaller ids, and each segment is written exactly once.
     fn mark(&mut self, segment: u32) -> Option<TraceId> {
         if self.segments[segment as usize].trace.is_some() {
             return None;
@@ -349,6 +371,14 @@ impl TraceStore {
         self.segments[segment as usize].trace = Some(id);
         self.traces.push(segment);
         self.stored_observations += u64::from(self.segments[segment as usize].depth);
+        let mut node = segment as usize;
+        while self.segments[node].first_trace == NO_TRACE {
+            self.segments[node].first_trace = id;
+            if node == 0 {
+                break;
+            }
+            node = self.segments[node].parent as usize;
+        }
         Some(TraceId(id))
     }
 
@@ -415,6 +445,49 @@ impl TraceStore {
         let mid = self.child(prefix.0, from);
         let end = self.child(mid, to);
         self.mark(end)
+    }
+
+    /// For every trace with id below `before`, the prefix segment that ends
+    /// just before the trace's first observation satisfying `qualifies` —
+    /// each distinct segment once, ordered by the first trace (in id order)
+    /// that yields it. Traces with no qualifying observation yield nothing.
+    ///
+    /// This is the splice-prefix search of the refinement step, done as one
+    /// depth-first walk from the root over the segments some trace below
+    /// `before` passes through. A qualifying child ends the walk along its
+    /// path, so the walk visits only the segments that precede a first
+    /// match, plus their direct children — not the Σ-length of all traces.
+    /// The stopping children form an antichain, so their subtrees hold
+    /// disjoint trace sets and their first-trace ids are distinct; a prefix
+    /// is first produced by the smallest first-trace id among its
+    /// qualifying children, which is the sort key. `qualifies` is called
+    /// once per visited segment.
+    pub fn first_match_prefixes(
+        &self,
+        before: usize,
+        mut qualifies: impl FnMut(ObsId) -> bool,
+    ) -> Vec<SegmentId> {
+        let mut found: Vec<(u32, SegmentId)> = Vec::new();
+        let mut stack = vec![0u32];
+        while let Some(parent) = stack.pop() {
+            let mut first = NO_TRACE;
+            for &(obs, child) in &self.segments[parent as usize].children {
+                let child_first = self.segments[child as usize].first_trace;
+                if child_first as usize >= before {
+                    continue;
+                }
+                if qualifies(ObsId(obs)) {
+                    first = first.min(child_first);
+                } else {
+                    stack.push(child);
+                }
+            }
+            if first != NO_TRACE {
+                found.push((first, SegmentId(parent)));
+            }
+        }
+        found.sort_unstable_by_key(|(first, _)| *first);
+        found.into_iter().map(|(_, prefix)| prefix).collect()
     }
 
     /// Aggregate statistics (see [`TraceStoreStats`]).
@@ -634,5 +707,166 @@ mod tests {
         // 4 + 41 * 5 observations stored flat, heavily shared here.
         assert_eq!(stats.stored_observations, 4 + 40 * 5);
         assert!(stats.approx_bytes_saved > 0);
+    }
+
+    /// Brute force: for every segment, the smallest id of a trace whose
+    /// root path contains it (`NO_TRACE` if none does).
+    fn brute_first_traces(store: &TraceStore) -> Vec<u32> {
+        let mut first = vec![NO_TRACE; store.segments.len()];
+        for (id, &end) in store.traces.iter().enumerate() {
+            let mut node = end as usize;
+            loop {
+                first[node] = first[node].min(id as u32);
+                if node == 0 {
+                    break;
+                }
+                node = store.segments[node].parent as usize;
+            }
+        }
+        first
+    }
+
+    fn assert_first_traces(store: &TraceStore, context: &str) {
+        let got: Vec<u32> = store.segments.iter().map(|s| s.first_trace).collect();
+        assert_eq!(
+            got,
+            brute_first_traces(store),
+            "first_trace index, {context}"
+        );
+    }
+
+    /// Brute force: the per-trace scan the first-match walk replaces —
+    /// every trace below `before` in id order, its prefix before the first
+    /// qualifying observation, each distinct prefix once.
+    fn brute_first_match_prefixes(
+        store: &TraceStore,
+        before: usize,
+        qualifies: impl Fn(ObsId) -> bool,
+    ) -> Vec<SegmentId> {
+        let mut prefixes = Vec::new();
+        for trace in store.traces().take(before) {
+            let ids = store.obs_ids(trace);
+            if let Some(j) = ids.iter().position(|o| qualifies(*o)) {
+                let prefix = store.prefix(trace, j);
+                if !prefixes.contains(&prefix) {
+                    prefixes.push(prefix);
+                }
+            }
+        }
+        prefixes
+    }
+
+    /// A small deterministic generator (64-bit LCG), so the store shapes
+    /// below are rich but reproducible.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (self.0 >> 33) % n
+        }
+    }
+
+    #[test]
+    fn first_trace_index_matches_brute_force() {
+        let (vars, x) = vars();
+        let o = |v| obs(&vars, x, v);
+        let mut rng = Lcg(0x5EED);
+        let mut store = TraceStore::new();
+        assert_first_traces(&store, "empty store");
+        let mut inserted = Vec::new();
+        for round in 0..60 {
+            let len = 1 + rng.below(6) as usize;
+            let trace: Vec<Valuation> = (0..len).map(|_| o(rng.below(5) as i64)).collect();
+            store.insert(&trace);
+            inserted.push(trace);
+            // Duplicate inserts and splices mark nothing and change no index.
+            let again = &inserted[rng.below(inserted.len() as u64) as usize];
+            assert!(store.insert(again).is_none());
+            let parent = TraceId(rng.below(store.len() as u64) as u32);
+            let prefix = store.prefix(
+                parent,
+                rng.below(store.trace_len(parent) as u64 + 1) as usize,
+            );
+            let (from, to) = (o(rng.below(7) as i64), o(rng.below(7) as i64));
+            store.splice(prefix, &from, &to);
+            assert!(store.splice(prefix, &from, &to).is_none());
+            assert_first_traces(&store, &format!("round {round}"));
+        }
+        // Strict prefixes of stored traces become marked internal segments
+        // whose index an earlier, longer trace already set.
+        let long = store.insert(&[o(20), o(21), o(22)]).unwrap();
+        let short = store.insert(&[o(20), o(21)]).unwrap();
+        let segment = store.traces[short.index()] as usize;
+        assert_eq!(store.segments[segment].first_trace, long.0);
+        assert_first_traces(&store, "marked internal segment");
+
+        let rebuilt = TraceStore::from_trace_set(&store.to_trace_set());
+        assert_first_traces(&rebuilt, "from_trace_set");
+        let mut cloned = store.clone();
+        assert_first_traces(&cloned, "clone");
+        let t = cloned.insert(&[o(9), o(9)]).unwrap();
+        cloned.splice(cloned.prefix(t, 1), &o(8), &o(8)).unwrap();
+        assert_first_traces(&cloned, "clone, grown");
+        assert_first_traces(&store, "original after the clone grew");
+    }
+
+    #[test]
+    fn first_match_prefixes_match_a_per_trace_scan() {
+        let (vars, x) = vars();
+        let o = |v| obs(&vars, x, v);
+        let mut rng = Lcg(0xF1257);
+        let mut store = TraceStore::new();
+        for _ in 0..80 {
+            let len = 1 + rng.below(7) as usize;
+            let trace: Vec<Valuation> = (0..len).map(|_| o(rng.below(6) as i64)).collect();
+            store.insert(&trace);
+            let parent = TraceId(rng.below(store.len() as u64) as u32);
+            let prefix = store.prefix(
+                parent,
+                rng.below(store.trace_len(parent) as u64 + 1) as usize,
+            );
+            store.splice(prefix, &o(rng.below(6) as i64), &o(rng.below(6) as i64));
+        }
+        let n = store.len();
+        for target in 0..6 {
+            let qualifies = |id: ObsId| {
+                let v = store.valuation(id).value(x).to_i64();
+                v == target || v == (target + 2) % 6
+            };
+            for before in [0, 1, 2, n / 3, n / 2, n - 1, n, n + 5] {
+                let mut calls = 0;
+                let walked = store.first_match_prefixes(before, |id| {
+                    calls += 1;
+                    qualifies(id)
+                });
+                assert_eq!(
+                    walked,
+                    brute_first_match_prefixes(&store, before, qualifies),
+                    "target {target}, before {before}"
+                );
+                assert!(
+                    calls <= store.num_segments(),
+                    "each segment tested at most once"
+                );
+            }
+        }
+        // Nothing qualifies: no prefix; everything qualifies: the root.
+        assert!(store.first_match_prefixes(n, |_| false).is_empty());
+        assert_eq!(store.first_match_prefixes(n, |_| true), vec![store.root()]);
+        assert!(TraceStore::new()
+            .first_match_prefixes(0, |_| true)
+            .is_empty());
+    }
+
+    /// `first_trace` lives in the padding after `trace`: adding it must not
+    /// grow the segment node, the store's dominant allocation.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn segment_stays_48_bytes() {
+        assert_eq!(std::mem::size_of::<Segment>(), 48);
     }
 }
