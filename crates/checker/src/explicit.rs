@@ -46,7 +46,7 @@ use std::collections::{HashMap, HashSet};
 /// pattern) encodings in ascending raw order.
 ///
 /// Raw order matches the order in which the SAT checker's counterexample
-/// canonicalisation minimises variable words (most significant bit probed
+/// canonicalisation minimises variable words (most significant bit decided
 /// first, preferring 0), which is what makes the explicit engine's first
 /// violation the canonical one. For booleans, unsigned integers and
 /// enumerations raw order coincides with value order; for signed integers

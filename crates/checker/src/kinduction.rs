@@ -14,7 +14,11 @@
 //!   that adds 3 outgoing transitions to a state with 80 existing ones
 //!   therefore encodes 3 disjuncts, not 83 — and no or-chain spine at all.
 //!   Disjuncts dropped from a later query are retracted by simply not
-//!   assuming them; their definitional clauses stay but never bite;
+//!   assuming them; their definitional clauses stay but never bite. Each
+//!   condition query is **one solve**: the session's preferred decisions
+//!   (every frame-0 bit, then every frame-1 input bit, most significant
+//!   first, each preferred 0) make the first model the canonical, i.e.
+//!   lexicographically minimal, counterexample transition;
 //! * the *base session* holds `Init(X₀)` plus a growing unrolling of the
 //!   transition relation; "the target state is hit within `k` steps" is
 //!   **chain-encoded**: one activation literal per `(formula, frame)` pair
@@ -209,6 +213,10 @@ struct Session {
     /// assumes the negations of exactly its disjuncts' literals; everything
     /// else stays retracted.
     disjuncts: ActivationLedger<ExprId>,
+    /// Preferred decisions of every solve on this session, in order: the
+    /// canonical counterexample order of the condition session (see
+    /// [`KInductionChecker::condition_session`]), empty for the others.
+    preferred: Vec<Lit>,
 }
 
 impl Session {
@@ -218,6 +226,7 @@ impl Session {
             unrolled: 0,
             activations: ActivationLedger::new(),
             disjuncts: ActivationLedger::new(),
+            preferred: Vec::new(),
         }
     }
 
@@ -244,7 +253,22 @@ impl Session {
     }
 
     fn solve(&mut self, assumptions: &[Lit]) -> SolveResult {
-        self.enc.sink_mut().solve_with_assumptions(assumptions)
+        self.enc
+            .sink_mut()
+            .solve_preferring(assumptions, &self.preferred)
+    }
+
+    /// The value of variable `id` in `frame` under the solver's model.
+    fn model_value(&mut self, system: &System, frame: usize, id: VarId) -> Value {
+        let word = self.enc.word(frame, id);
+        let solver = self.enc.sink();
+        let raw = word
+            .bits()
+            .iter()
+            .enumerate()
+            .filter(|(_, bit)| solver.value(bit.var()) == Some(bit.is_positive()))
+            .fold(0i64, |raw, (b, _)| raw | 1 << b);
+        Value::from_i64(system.vars().sort(id), raw)
     }
 
     fn solver_stats(&self) -> SolverStats {
@@ -333,11 +357,26 @@ impl<'a> KInductionChecker<'a> {
 
     /// The condition session, created on first use: input constraints on
     /// frame 0 plus one transition unrolling (which constrains frame 1).
+    ///
+    /// Its preferred decisions are the **canonical counterexample order**:
+    /// every bit of every frame-0 variable (declaration order, most
+    /// significant bit first), then every bit of every frame-1 input, each
+    /// preferred false. Frame-1 *state* bits are not listed: the transition
+    /// clauses imply them once frame 0 is fixed. The list is static per
+    /// system, so it is built once, with the session.
     fn condition_session(system: &System) -> Session {
         let mut session = Session::new(system);
         let input_constraints = system.input_constraints_expr();
         session.enc.assert_expr(0, &input_constraints);
         session.ensure_unrolled(system, 1);
+        let frame0 = system.vars().iter().map(|(id, _)| (0, id));
+        let frame1_inputs = system.input_vars().iter().map(|&id| (1, id));
+        for (frame, id) in frame0.chain(frame1_inputs) {
+            let word = session.enc.word(frame, id);
+            session
+                .preferred
+                .extend(word.bits().iter().rev().map(|&bit| !bit));
+        }
         session
     }
 
@@ -371,7 +410,9 @@ impl<'a> KInductionChecker<'a> {
     ///
     /// The query assumes `¬dᵢ` per disjunct — semantically `¬(⋁ dᵢ)` — with
     /// each `dᵢ` encoded at most once per session via the disjunct ledger
-    /// and no or-chain spine ever built.
+    /// and no or-chain spine ever built. It is answered by one solve, whose
+    /// first model is already the canonical counterexample (see
+    /// [`KInductionChecker::counterexample_from_model`]).
     fn condition_query(
         stats: &mut CheckerStats,
         session: &mut Session,
@@ -398,65 +439,41 @@ impl<'a> KInductionChecker<'a> {
         match session.solve(&assumptions) {
             SolveResult::Unsat => CheckResult::Valid,
             SolveResult::Sat => {
-                let (from, to) = Self::canonical_transition(stats, session, system, assumptions);
+                let (from, to) = Self::counterexample_from_model(session, system);
                 CheckResult::Violated { from, to }
             }
         }
     }
 
-    /// Extracts the **canonical** (lexicographically minimal) counterexample
-    /// transition of a satisfiable condition query.
+    /// Reads the **canonical** (lexicographically minimal) counterexample
+    /// transition off the model of a satisfiable condition query.
     ///
-    /// A CDCL solver's satisfying model depends on its clause-learning and
+    /// A CDCL solver's free decisions depend on its clause-learning and
     /// phase-saving history, so two sessions that served different query
-    /// sequences can return different (equally valid) counterexamples for the
-    /// same query. The active-learning loop feeds counterexamples back into
-    /// the trace set, so that nondeterminism would compound into different
-    /// learned models. Canonicalisation removes it: starting from the query
-    /// assumptions, each free variable bit is probed in a fixed order
-    /// (frame 0 before frame 1, declaration order, most significant bit
-    /// first) and pinned to 0 whenever the query stays satisfiable, to 1
-    /// otherwise. Frame-1 *state* bits are functionally implied by the
-    /// transition clauses once frame 0 is pinned, so they are not probed:
-    /// their values are read off the update expressions directly. The result
-    /// is the unique minimal satisfying transition — a pure function of the
-    /// query semantics, independent of solver history, session reuse and
-    /// worker count (the probe set is static, so even the per-counterexample
-    /// solve count is deterministic).
-    fn canonical_transition(
-        stats: &mut CheckerStats,
-        session: &mut Session,
-        system: &System,
-        mut fixed: Vec<Lit>,
-    ) -> (Valuation, Valuation) {
+    /// sequences could return different (equally valid) counterexamples for
+    /// the same query. The active-learning loop feeds counterexamples back
+    /// into the trace set, so that nondeterminism would compound into
+    /// different learned models. The condition session's preferred
+    /// decisions remove it: the solver decides every frame-0 bit and every
+    /// frame-1 input bit false-first, in the fixed order of
+    /// [`KInductionChecker::condition_session`], before any free decision,
+    /// so a bit is 1 in the model only when the query is unsatisfiable with
+    /// it 0 under the bits before it. That is the unique minimal satisfying
+    /// transition — a pure function of the query semantics, independent of
+    /// solver history, session reuse and worker count. Frame-1 *state*
+    /// values are read off the update expressions directly.
+    fn counterexample_from_model(session: &mut Session, system: &System) -> (Valuation, Valuation) {
         let vars = system.vars();
-        let mut probe_var = |frame: usize, id: VarId| {
-            let word = session.enc.word(frame, id);
-            let mut raw: i64 = 0;
-            for b in (0..word.bits().len()).rev() {
-                let bit = word.bits()[b];
-                fixed.push(!bit);
-                Self::count_query(stats, session);
-                if session.solve(&fixed) == SolveResult::Unsat {
-                    // The bit is forced to 1 under everything pinned so far;
-                    // flip the assumption and keep going.
-                    fixed.pop();
-                    fixed.push(bit);
-                    raw |= 1 << b;
-                }
-            }
-            Value::from_i64(vars.sort(id), raw)
-        };
         let mut from = Valuation::zeroed(vars);
         for (id, _) in vars.iter() {
-            from.set(id, probe_var(0, id));
+            from.set(id, session.model_value(system, 0, id));
         }
         let mut to = Valuation::zeroed(vars);
-        for id in system.input_vars() {
-            to.set(*id, probe_var(1, *id));
+        for &id in system.input_vars() {
+            to.set(id, session.model_value(system, 1, id));
         }
-        for id in system.state_vars() {
-            to.set(*id, system.update(*id).eval(&from));
+        for &id in system.state_vars() {
+            to.set(id, system.update(id).eval(&from));
         }
         (from, to)
     }

@@ -1,11 +1,13 @@
 //! The portfolio oracle: per-query routing between the explicit-state
 //! engine and the k-induction checker.
 //!
-//! Cheap concrete enumeration beats SAT on small input/state products —
-//! violated conditions especially, where the SAT path needs a full
-//! bit-by-bit canonicalisation probe per counterexample while the explicit
-//! engine's first hit *is* the canonical counterexample. The portfolio
-//! estimates each query's concrete size and routes it accordingly:
+//! Cheap concrete enumeration beats SAT on small input/state products: the
+//! explicit engine answers such a query with a few hundred evaluations and
+//! no encoding, and its first hit *is* the canonical counterexample, where
+//! the SAT path pays for bit-blasting and one CDCL search of the unrolled
+//! formula (which, with its preferred decisions, yields the same canonical
+//! counterexample). The portfolio estimates each query's concrete size and
+//! routes it accordingly:
 //!
 //! * estimated cost ≤ routing threshold → explicit engine, under a work
 //!   budget;

@@ -26,6 +26,101 @@ fn parametric_system(n: i64, threshold: i64) -> System {
     b.build().unwrap()
 }
 
+/// A signed accumulator driven by a signed multi-bit input: `acc' = acc + d`
+/// when `en`, else `acc` (3-bit two's complement, wrapping), and `neg`
+/// records whether the new value is negative. Counterexamples of conditions
+/// over it set sign bits in frame 0 and input bits in frame 1.
+fn signed_accumulator() -> System {
+    let mut b = SystemBuilder::new();
+    let d = b.input_in_range("d", Sort::signed_int(3), -2, 2).unwrap();
+    let en = b.input("en", Sort::Bool).unwrap();
+    let acc = b.state("acc", Sort::signed_int(3), Value::Int(0)).unwrap();
+    let neg = b.state("neg", Sort::Bool, Value::Bool(false)).unwrap();
+    let next_acc = b.var(en).ite(&b.var(acc).add(&b.var(d)), &b.var(acc));
+    b.update(acc, next_acc.clone()).unwrap();
+    b.update(neg, next_acc.lt(&Expr::signed_int_val(0, 3)))
+        .unwrap();
+    b.build().unwrap()
+}
+
+/// The predicates the warm-session differential draws its assumptions and
+/// outgoing disjuncts from: signed comparisons, equalities, conjunctions and
+/// disjunctions over state and input variables.
+fn accumulator_predicates(sys: &System) -> Vec<Expr> {
+    let var = |name: &str| sys.var(sys.vars().lookup(name).unwrap());
+    let (d, en, acc, neg) = (var("d"), var("en"), var("acc"), var("neg"));
+    let int = |v: i64| Expr::signed_int_val(v, 3);
+    vec![
+        Expr::true_(),
+        acc.lt(&int(0)),
+        acc.eq(&int(1)),
+        acc.ge(&int(-2)),
+        d.eq(&int(-1)),
+        d.gt(&int(0)),
+        en.clone(),
+        en.not(),
+        neg.clone(),
+        neg.not().and(&acc.le(&d)),
+        acc.eq(&int(-4)).or(&en),
+        acc.ne(&int(3)).and(&d.ne(&int(2))),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    // One warm `KInductionChecker` (persistent sessions, learnt clauses and
+    // saved phases carried from query to query) against a fresh explicit
+    // enumeration per query: at least 20 mixed condition queries whose
+    // assumption, blocked states and outgoing disjuncts all vary. The
+    // verdict and the canonical `(from, to)` pair must match every time.
+    #[test]
+    fn warm_kinduction_session_matches_explicit_engine(
+        queries in proptest::collection::vec(
+            (
+                0..12usize,
+                proptest::collection::vec((-4i64..4, any::<bool>()), 0..=2),
+                proptest::collection::vec(0..12usize, 0..=4),
+            ),
+            20..=28,
+        ),
+    ) {
+        let sys = signed_accumulator();
+        let predicates = accumulator_predicates(&sys);
+        let acc = sys.vars().lookup("acc").unwrap();
+        let neg = sys.vars().lookup("neg").unwrap();
+        let mut sat_checker = KInductionChecker::new(&sys);
+        let mut explicit = ExplicitChecker::new(&sys, 10_000);
+        let mut violated = 0;
+        for (assumption, blocked, outgoing) in &queries {
+            let assumption = &predicates[*assumption];
+            let blocked: Vec<Expr> = blocked
+                .iter()
+                .map(|&(a, n)| {
+                    let mut state = sys.initial_valuation();
+                    state.set(acc, Value::Int(a));
+                    state.set(neg, Value::Bool(n));
+                    sat_checker.state_formula(&state, &[acc, neg])
+                })
+                .collect();
+            let outgoing: Vec<Expr> = outgoing.iter().map(|&i| predicates[i].clone()).collect();
+            let sat = sat_checker.check_condition_disjuncts(assumption, &blocked, &outgoing);
+            let mut budget = u64::MAX;
+            let reference = explicit
+                .check_condition_budgeted(assumption, &blocked, &outgoing, &mut budget)
+                .unwrap();
+            prop_assert_eq!(&sat, &reference);
+            if let CheckResult::Violated { from, to } = &sat {
+                prop_assert!(sys.is_transition(from, to));
+                violated += 1;
+            }
+        }
+        // Both verdicts occur, so the canonical counterexamples are
+        // compared across a warm session, not only on its first query.
+        prop_assert!(violated > 0 && violated < queries.len());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 

@@ -12,8 +12,9 @@
 //! query-for-query (verdicts *and* canonical counterexamples), and the
 //! cache only skips work it would have recomputed identically. Per engine
 //! and cache setting, the run's `solve_calls` must not depend on the worker
-//! count either: counterexamples are canonicalised by a static bit-probe
-//! set, so the solve count is a pure function of the queries asked.
+//! count either: every query is one solve (the canonical counterexample is
+//! the first model, found through the solver's preferred decisions), so the
+//! solve count is a pure function of the queries asked.
 
 use amle_benchmarks::{circuit_benchmarks, full_suite, Benchmark};
 use amle_core::{

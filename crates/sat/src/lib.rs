@@ -4,8 +4,9 @@
 //! the reasoning engine behind the bit-blasted bounded model checker and the
 //! SAT-based automaton identification in the model learner. Every
 //! condition-check and spurious-counterexample query of the paper (Fig. 3a
-//! and 3b, Section III-B) bottoms out in
-//! [`Solver::solve_with_assumptions`] calls on a persistent solver session.
+//! and 3b, Section III-B) bottoms out in one
+//! [`Solver::solve_with_assumptions`] (or [`Solver::solve_preferring`]) call
+//! on a persistent solver session.
 //!
 //! Features:
 //!
@@ -15,6 +16,9 @@
 //! * Luby restarts and glue/activity-tiered learnt-clause database
 //!   reduction under one fixed search policy (see [`Solver`]),
 //! * solving under assumptions (incremental use),
+//! * ordered preferred decisions ([`Solver::solve_preferring`]): the first
+//!   model is the greatest over a literal list in list order, which is how
+//!   the checker gets its canonical counterexample from a single solve,
 //! * persistent sessions: clauses can be added between solves, so the
 //!   checker and learner keep one solver alive across queries and encode
 //!   into it through [`ClauseSink`],

@@ -12,7 +12,11 @@
 //!    instances up to 16 variables with wider clauses — sat/unsat agreement,
 //!    model validity, and unsat-under-assumptions consistency — which
 //!    exercise propagation (blockers), conflict analysis (minimization) and
-//!    restarts on deeper search trees than the narrow 8-variable instances.
+//!    restarts on deeper search trees than the narrow 8-variable instances;
+//! 5. with preferred decisions ([`crate::Solver::solve_preferring`]) the
+//!    first model is the greatest over the preferred list, in list order,
+//!    among all models under the assumptions — also on a warm solver whose
+//!    earlier calls left learnt clauses, saved phases and restarts behind.
 
 use crate::{CnfFormula, Lit, SolveResult, Var};
 use proptest::prelude::*;
@@ -59,6 +63,69 @@ fn arb_cnf_with_width(
         }
         cnf
     })
+}
+
+/// The truth value of each preferred literal under `assignment`, in list
+/// order. Vectors of `bool` compare lexicographically with `false < true`,
+/// so the greatest key is the model that honours the earliest literals.
+fn preference_key(assignment: &[bool], preferred: &[Lit]) -> Vec<bool> {
+    preferred
+        .iter()
+        .map(|lit| assignment[lit.var().index()] == lit.is_positive())
+        .collect()
+}
+
+/// Brute force: the greatest [`preference_key`] over all models of `cnf`
+/// under `assumptions`, or `None` when there is no such model.
+fn brute_force_preferred_key(
+    cnf: &CnfFormula,
+    assumptions: &[Lit],
+    preferred: &[Lit],
+) -> Option<Vec<bool>> {
+    let n = cnf.num_vars();
+    assert!(n <= 16, "brute force limited to 16 variables");
+    (0u32..(1 << n))
+        .map(|bits| (0..n).map(|i| bits & (1 << i) != 0).collect::<Vec<bool>>())
+        .filter(|assignment| {
+            cnf.evaluate(assignment)
+                && assumptions
+                    .iter()
+                    .all(|lit| assignment[lit.var().index()] == lit.is_positive())
+        })
+        .map(|assignment| preference_key(&assignment, preferred))
+        .max()
+}
+
+/// Adds `pigeons` pigeons into `holes` holes over fresh variables, every
+/// clause guarded by a fresh activation literal, and returns it. Unsat
+/// under the activation (with enough conflicts for restarts to fire),
+/// satisfied by leaving it false, and disjoint from every other variable.
+fn add_guarded_pigeonhole(solver: &mut crate::Solver, pigeons: usize, holes: usize) -> Lit {
+    let act = Lit::positive(solver.new_var());
+    let p: Vec<Vec<Lit>> = (0..pigeons)
+        .map(|_| {
+            (0..holes)
+                .map(|_| Lit::positive(solver.new_var()))
+                .collect()
+        })
+        .collect();
+    for row in &p {
+        solver.add_clause(row.iter().copied().chain([!act]));
+    }
+    for (i, row) in p.iter().enumerate() {
+        for other in &p[i + 1..] {
+            for (&a, &b) in row.iter().zip(other) {
+                solver.add_clause([!a, !b, !act]);
+            }
+        }
+    }
+    act
+}
+
+fn to_lits(raw: &[(usize, bool)]) -> Vec<Lit> {
+    raw.iter()
+        .map(|&(v, pos)| Lit::new(Var::from_index(v - 1), pos))
+        .collect()
 }
 
 fn arb_cnf(max_vars: usize, max_clauses: usize) -> impl Strategy<Value = CnfFormula> {
@@ -198,5 +265,69 @@ proptest! {
         let mut fresh = combined.to_solver();
         prop_assert_eq!(r1, fresh.solve());
         prop_assert_eq!(r1 == SolveResult::Sat, brute_force_sat(&combined));
+    }
+}
+
+// Preferred decisions against exhaustive enumeration; a separate block for
+// the same macro-recursion reason as above.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    // One warm solver answers a sequence of queries, each with its own
+    // assumptions and preferred list. Before them, a guarded pigeonhole
+    // refutation on disjoint variables and a plain solve leave restarts,
+    // learnt clauses and arbitrary saved phases behind. Each preferred
+    // list mixes polarities and holds duplicates, a literal together with
+    // its negation, and literals fixed at level 0 by unit clauses. The
+    // verdict must match enumeration, and on Sat the model must be the
+    // greatest over the list in list order.
+    #[test]
+    fn preferred_model_is_greatest_over_the_list(
+        cnf in arb_cnf_with_width(12, 48, 1..=4),
+        units in proptest::collection::vec((1..=12usize, any::<bool>()), 1..=2),
+        queries in proptest::collection::vec(
+            (
+                proptest::collection::vec((1..=12usize, any::<bool>()), 0..=3),
+                proptest::collection::vec((1..=12usize, any::<bool>()), 1..=16),
+            ),
+            2..=5,
+        ),
+    ) {
+        let mut cnf = cnf;
+        let units = to_lits(&units);
+        for &unit in &units {
+            cnf.add_clause([unit]);
+        }
+        let mut solver = cnf.to_solver();
+        let act = add_guarded_pigeonhole(&mut solver, 6, 5);
+        prop_assert_eq!(solver.solve_with_assumptions(&[act]), SolveResult::Unsat);
+        if brute_force_sat(&cnf) {
+            prop_assert!(solver.stats().restarts > 0, "warm-up fired no restart");
+        }
+        let _ = solver.solve();
+
+        for (assumptions, preferred) in &queries {
+            let assumptions = to_lits(assumptions);
+            let mut preferred = to_lits(preferred);
+            let first = preferred[0];
+            preferred.insert(preferred.len() / 2, first);
+            preferred.push(!first);
+            for (i, &unit) in units.iter().enumerate() {
+                let at = unit.var().index() % preferred.len();
+                preferred.insert(at, if i % 2 == 0 { !unit } else { unit });
+            }
+
+            let result = solver.solve_preferring(&assumptions, &preferred);
+            let expected = brute_force_preferred_key(&cnf, &assumptions, &preferred);
+            prop_assert_eq!(result == SolveResult::Sat, expected.is_some());
+            if let Some(expected) = expected {
+                let model = solver.model();
+                prop_assert!(cnf.evaluate(&model));
+                for lit in &assumptions {
+                    prop_assert_eq!(model[lit.var().index()], lit.is_positive());
+                }
+                prop_assert_eq!(preference_key(&model, &preferred), expected);
+            }
+        }
     }
 }

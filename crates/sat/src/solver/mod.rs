@@ -157,12 +157,14 @@ const GLUE_LBD: u32 = 4;
 /// See the [crate documentation](crate) for the feature list and an example.
 /// Typical use: allocate variables with [`Solver::new_var`], add clauses with
 /// [`Solver::add_clause`], call [`Solver::solve`] (or
-/// [`Solver::solve_with_assumptions`]) and read the model back with
-/// [`Solver::value`].
+/// [`Solver::solve_with_assumptions`] / [`Solver::solve_preferring`]) and
+/// read the model back with [`Solver::value`].
 ///
 /// The search policy is fixed: Luby restarts with a 50-conflict unit,
 /// saved phases that persist across solve calls, 10% learnt-budget growth
 /// per database reduction, and learnt clauses with LBD ≤ 4 kept forever.
+/// Saved phases steer only free decisions; preferred literals are always
+/// decided with their listed polarity.
 pub struct Solver {
     /// The flat clause arena (originals + learnts) and learnt index.
     db: ClauseDb,
@@ -538,8 +540,31 @@ impl Solver {
     /// levels; they do not permanently constrain the solver, so repeated calls
     /// with different assumptions are supported.
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
+        self.solve_preferring(assumptions, &[])
+    }
+
+    /// Decides satisfiability under the given assumption literals, deciding
+    /// the `preferred` literals first, in list order and each with its own
+    /// polarity, before any free (VSIDS) decision.
+    ///
+    /// The first model found is then the **greatest over `preferred`** in
+    /// list order: every listed literal is true unless no model extends the
+    /// assumptions and the values of the earlier listed literals with it
+    /// true. Phase saving and restarts never override the list, so the
+    /// model is a pure function of the formula, the assumptions and the
+    /// list, independent of what earlier solve calls learnt. Listing the
+    /// negated bits of a word most significant first therefore yields the
+    /// lexicographically minimal model over those bits in one solve.
+    ///
+    /// Why: all listed literals are decided before any free decision, so
+    /// a listed literal assigned at a level inside the listed block is
+    /// implied by the formula, the assumptions and the earlier listed
+    /// values alone (learnt clauses are implied by the formula). Duplicates
+    /// and literals already fixed are skipped; unlike an assumption, a
+    /// preferred literal never makes the query unsatisfiable.
+    pub fn solve_preferring(&mut self, assumptions: &[Lit], preferred: &[Lit]) -> SolveResult {
         let started = Instant::now();
-        let result = self.solve_with_assumptions_inner(assumptions);
+        let result = self.solve_with_assumptions_inner(assumptions, preferred);
         self.model_valid = result == SolveResult::Sat;
         self.stats.solve_calls += 1;
         self.stats.solve_time += started.elapsed();
@@ -554,11 +579,15 @@ impl Solver {
         (self.db.num_clauses() as f64 * 0.5).max(100.0)
     }
 
-    fn solve_with_assumptions_inner(&mut self, assumptions: &[Lit]) -> SolveResult {
+    fn solve_with_assumptions_inner(
+        &mut self,
+        assumptions: &[Lit],
+        preferred: &[Lit],
+    ) -> SolveResult {
         if !self.ok {
             return SolveResult::Unsat;
         }
-        for lit in assumptions {
+        for lit in assumptions.iter().chain(preferred) {
             self.ensure_vars(lit.var().index() + 1);
         }
         self.backtrack(0);
@@ -571,6 +600,10 @@ impl Solver {
         let mut restart_count: u64 = 0;
         let mut conflicts_until_restart = RESTART_UNIT * Self::luby(restart_count);
         let mut conflicts_in_round: u64 = 0;
+        // Every preferred literal before this index is assigned. Assignments
+        // only grow between backtracks, so the cursor only moves forward
+        // until the next conflict or restart resets it.
+        let mut preferred_next = 0;
 
         loop {
             match self.propagate() {
@@ -583,6 +616,7 @@ impl Solver {
                     }
                     let (learnt, backtrack_level) = self.analyze(confl);
                     self.backtrack(backtrack_level);
+                    preferred_next = 0;
                     let assert_lit = learnt[0];
                     if learnt.len() == 1 {
                         if !self.enqueue(assert_lit, ClauseRef::INVALID) {
@@ -608,12 +642,19 @@ impl Solver {
                         self.stats.restarts += 1;
                         conflicts_until_restart = RESTART_UNIT * Self::luby(restart_count);
                         self.backtrack(assumptions.len().min(self.decision_level()));
+                        preferred_next = 0;
                     }
                     if self.stats.learnt_clauses as f64 > self.max_learnts {
                         self.reduce_learnts();
                         self.max_learnts *= REDUCE_GROWTH;
                     }
-                    // Assumption decisions first, then free decisions.
+                    // Assumption decisions first, then preferred decisions in
+                    // list order, then free decisions.
+                    while preferred_next < preferred.len()
+                        && self.value[preferred[preferred_next].code()] != LUNDEF
+                    {
+                        preferred_next += 1;
+                    }
                     let next = if self.decision_level() < assumptions.len() {
                         let a = assumptions[self.decision_level()];
                         match self.lit_value(a) {
@@ -629,6 +670,8 @@ impl Solver {
                             }
                             None => Some(a),
                         }
+                    } else if let Some(&lit) = preferred.get(preferred_next) {
+                        Some(lit)
                     } else {
                         self.pick_branch_var()
                             .map(|v| Lit::new(v, self.saved_phase[v.index()]))

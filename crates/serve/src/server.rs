@@ -29,11 +29,16 @@ use std::io::{BufRead, BufReader, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Shared state of one daemon instance.
+///
+/// Both registries are locked poison-tolerantly: every update is a single
+/// insert, remove, push or extract, so a thread that panicked while holding
+/// a lock cannot have left a registry half-updated, and the accept loop and
+/// shutdown keep working after it.
 struct Shared {
     sessions: Mutex<HashMap<String, SessionHandle>>,
     connections: Mutex<Vec<(TcpStream, JoinHandle<()>)>>,
@@ -84,11 +89,22 @@ impl Server {
                 .expect("cloning an accepted stream cannot fail");
             let shared = Arc::clone(&self.shared);
             let join = std::thread::spawn(move || handle_connection(stream, shared));
-            self.shared
+            let mut connections = self
+                .shared
                 .connections
                 .lock()
-                .expect("connection registry poisoned")
-                .push((peer, join));
+                .unwrap_or_else(PoisonError::into_inner);
+            // Reap the connections whose thread has ended: dropping an entry
+            // closes the registry's clone of the stream, so a closed
+            // connection does not hold a file descriptor until shutdown.
+            let finished: Vec<_> = connections
+                .extract_if(.., |(_, join)| join.is_finished())
+                .collect();
+            connections.push((peer, join));
+            drop(connections);
+            for (_, join) in finished {
+                let _ = join.join();
+            }
         }
 
         // Drain sessions first: dropping the queue senders lets each actor
@@ -99,7 +115,7 @@ impl Server {
                 .shared
                 .sessions
                 .lock()
-                .expect("session registry poisoned"),
+                .unwrap_or_else(PoisonError::into_inner),
         );
         for (_, handle) in sessions {
             drop(handle.tx);
@@ -112,7 +128,7 @@ impl Server {
                 .shared
                 .connections
                 .lock()
-                .expect("connection registry poisoned"),
+                .unwrap_or_else(PoisonError::into_inner),
         );
         for (stream, join) in connections {
             let _ = stream.shutdown(Shutdown::Both);
@@ -200,7 +216,10 @@ fn session_name(request: &Json) -> Result<String, Json> {
 /// Registers a freshly spawned session under `name`, tearing the actor down
 /// again if the name was taken concurrently.
 fn register(shared: &Arc<Shared>, name: &str, handle: SessionHandle) -> Result<(), Json> {
-    let mut sessions = shared.sessions.lock().expect("session registry poisoned");
+    let mut sessions = shared
+        .sessions
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     if sessions.contains_key(name) {
         drop(sessions);
         drop(handle.tx);
@@ -222,7 +241,7 @@ fn handle_open(request: &Json, shared: &Arc<Shared>) -> Json {
     if shared
         .sessions
         .lock()
-        .expect("session registry poisoned")
+        .unwrap_or_else(PoisonError::into_inner)
         .contains_key(&name)
     {
         return error_response(format!("session `{name}` already exists"), false);
@@ -310,7 +329,7 @@ fn handle_close(request: &Json, shared: &Arc<Shared>) -> Json {
     let handle = shared
         .sessions
         .lock()
-        .expect("session registry poisoned")
+        .unwrap_or_else(PoisonError::into_inner)
         .remove(&name);
     match handle {
         Some(handle) => {
@@ -350,7 +369,10 @@ fn handle_session_verb(op: &str, request: &Json, shared: &Arc<Shared>, writer: &
     // Clone the queue sender out of the registry and release the lock before
     // waiting on anything — registry access must stay O(lookup).
     let (tx, timeout_default) = {
-        let sessions = shared.sessions.lock().expect("session registry poisoned");
+        let sessions = shared
+            .sessions
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         match sessions.get(&name) {
             Some(handle) => (handle.tx.clone(), handle.spec.request_timeout_ms),
             None => return error_response(format!("unknown session `{name}`"), false),
